@@ -148,8 +148,9 @@ func containsAny(s string, subs []string) bool {
 }
 
 // profileShares runs `go tool pprof -top` over a CPU profile written by
-// runtime/pprof and attributes its samples to the cpu.* families.
-func profileShares(profile, tmpDir string) (map[string]float64, error) {
+// runtime/pprof and attributes its samples to the cpu.* families. It
+// also returns the seconds of CPU time the profile's samples add up to.
+func profileShares(profile, tmpDir string) (map[string]float64, float64, error) {
 	cmd := exec.Command("go", "tool", "pprof", "-top", "-nodecount=100000",
 		"-nodefraction=0", "-edgefraction=0", profile)
 	cmd.Env = append(cmd.Environ(), "PPROF_TMPDIR="+tmpDir, "GOTOOLCHAIN=local")
@@ -157,11 +158,15 @@ func profileShares(profile, tmpDir string) (map[string]float64, error) {
 	cmd.Stderr = &stderr
 	text, err := cmd.Output()
 	if err != nil {
-		return nil, fmt.Errorf("go tool pprof: %v: %s", err, strings.TrimSpace(stderr.String()))
+		return nil, 0, fmt.Errorf("go tool pprof: %v: %s", err, strings.TrimSpace(stderr.String()))
 	}
 	entries, err := parseTop(text)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return attribute(entries), nil
+	var sampled float64
+	for _, e := range entries {
+		sampled += e.Flat
+	}
+	return attribute(entries), sampled, nil
 }

