@@ -1,12 +1,22 @@
 GO ?= go
 
-.PHONY: build test race race-pipeline race-fault bench-kernels bench-pipeline bench-sampler bench-ingest bench-serve bench-fault bench-eval bench-baseline check
+.PHONY: build test perfbench-test race race-pipeline race-fault bench-kernels bench-pipeline bench-sampler bench-ingest bench-serve bench-fault bench-eval bench-baseline check
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# The end-to-end benchmark under perfbench/ is a nested module, so the
+# root `go build ./... && go test ./...` never compiles it. Format-check,
+# vet and test it against this checkout (its go.mod replaces repro with
+# ../), so a change to what it imports fails here, not when the
+# benchmark runs. Offline, with the installed toolchain only.
+perfbench-test:
+	@out=$$(cd perfbench && gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:" && echo "$$out" && exit 1; fi
+	cd perfbench && GOTOOLCHAIN=local GOPROXY=off $(GO) vet ./...
+	cd perfbench && GOTOOLCHAIN=local GOPROXY=off $(GO) test ./...
 
 # Full-epoch NC/LP pipelines and the kernel fan-out under the race
 # detector (the kernels spawn real goroutines even at GOMAXPROCS=1).
@@ -115,7 +125,7 @@ bench-baseline:
 	$(GO) run ./cmd/benchfault -check -o BENCH_fault.json
 	$(GO) run ./cmd/bencheval -check -o BENCH_eval.json
 
-# The full local gate: everything CI runs (test, race, race-pipeline,
-# and every benchmark floor including the end-to-end ingest and serving
-# paths).
-check: build test race race-pipeline race-fault bench-kernels bench-pipeline bench-sampler bench-ingest bench-serve bench-fault bench-eval
+# The full local gate: everything CI runs (test, the benchmark module,
+# race, race-pipeline, and every benchmark floor including the
+# end-to-end ingest and serving paths).
+check: build test perfbench-test race race-pipeline race-fault bench-kernels bench-pipeline bench-sampler bench-ingest bench-serve bench-fault bench-eval

@@ -1,15 +1,15 @@
-// Package experiments implements one driver per table and figure of the
-// MariusGNN evaluation (paper §7). Each driver runs the scaled-down
-// workload described in DESIGN.md and returns structured rows; the
-// cmd/benchtables binary renders them in the paper's format and the
-// repository-root benchmarks expose them to `go test -bench`.
+// Package experiments implements one function per table and figure of
+// the MariusGNN evaluation (paper §7). Each runs a scaled-down
+// workload and returns structured rows; the cmd/benchtables binary
+// renders them in the paper's format (`go run ./cmd/benchtables`) and
+// the repository-root benchmarks expose them to `go test -bench`.
 //
 // Scale disclaimer: datasets are synthetic stand-ins roughly 100-1000x
-// smaller than the paper's (see DESIGN.md §2), and the "GPU" is this
-// machine's CPU running dense kernels. Absolute numbers therefore differ
-// from the paper; the comparisons within each table (which system/policy
-// wins, how ratios move with depth or partition counts) are the
-// reproduction targets, recorded in EXPERIMENTS.md.
+// smaller than the paper's, and the "GPU" is the host CPU running dense
+// kernels. Absolute numbers therefore differ from the paper; the
+// comparisons within each table (which system/policy wins, how ratios
+// move with depth or partition counts) are the reproduction targets,
+// which `go run ./cmd/benchtables` prints.
 package experiments
 
 import (

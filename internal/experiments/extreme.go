@@ -24,6 +24,7 @@ type ExtremeScaleResult struct {
 	Epoch         time.Duration
 	EdgesPerSec   float64
 	TrainMRR      float64
+	Visits        int // partition sets |S| walked in the epoch
 	IOBytes       int64
 	ExtrapolatedH float64 // hours per epoch for the full 128B-edge graph
 	ExtrapolatedC float64 // $/epoch at that rate on the P3.2xLarge
@@ -82,10 +83,10 @@ func ExtremeScale(numNodes int, numEdges int64, dim int) (*ExtremeScaleResult, e
 
 	ps := nn.NewParamSet()
 	dec := decoder.NewDistMult(ps, 1, dim, rng)
-	tr := train.NewLP(train.LPConfig{
+	tr := train.NewLP(train.Config{
 		Params: ps, Decoder: dec,
 		BatchSize: 4096, Negatives: 128,
-		DenseOpt: nn.NewAdam(0.01), EmbOpt: nn.NewSparseAdaGrad(0.1),
+		Opt: nn.NewAdam(0.01), EmbOpt: nn.NewSparseAdaGrad(0.1),
 		Workers: 4, Seed: 3,
 	}, src, policy.Comet{P: p, L: l, C: c})
 
@@ -96,6 +97,7 @@ func ExtremeScale(numNodes int, numEdges int64, dim int) (*ExtremeScaleResult, e
 	res.Epoch = st.Duration
 	res.EdgesPerSec = float64(st.Examples) / st.Duration.Seconds()
 	res.TrainMRR = st.Metric
+	res.Visits = st.Visits
 	res.IOBytes = st.IO.BytesRead + st.IO.BytesWritten
 	full := time.Duration(128e9 / res.EdgesPerSec * float64(time.Second))
 	res.ExtrapolatedH = full.Hours()

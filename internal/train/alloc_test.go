@@ -7,73 +7,63 @@ import (
 	"repro/internal/policy"
 )
 
-// TestLPBatchConstructionZeroAlloc: after one warm epoch, the LP
-// batch-construction hot path (endpoint/negative scratch, stamp-based
-// dedup, DENSE sampling, pooled prepared batches) must not allocate.
-func TestLPBatchConstructionZeroAlloc(t *testing.T) {
-	tr, g, done := lpFixture(t, policy.InMemory{P: 4}, false, 4, 4, 51)
-	defer done()
-	if _, err := tr.TrainEpoch(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+// TestBatchConstructionZeroAlloc: after one warm epoch, the batcher's
+// hot path must not allocate for either task — LP's endpoint/negative
+// buffers and stamp-based dedup, NC's label gather, and for both the
+// DENSE sampling over the incremental index and the pooled prepared
+// batches.
+func TestBatchConstructionZeroAlloc(t *testing.T) {
 	mem := []int{0, 1, 2, 3}
-	adj, err := tr.seg.refresh(tr.Src, mem)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name  string
+		build func(t *testing.T) (*Trainer, func(v *visit))
+	}{
+		{"lp", func(t *testing.T) (*Trainer, func(v *visit)) {
+			tr, g, done := lpFixture(t, policy.InMemory{P: 4}, false, 4, 4, 51)
+			t.Cleanup(done)
+			return tr, func(v *visit) {
+				v.pool = tr.Src.residentNodePool(nil, mem)
+				v.edges = g.Edges[:2*tr.Cfg.BatchSize]
+				v.n = len(v.edges)
+				v.batchSeeds = []int64{101, 102}
+			}
+		}},
+		{"nc", func(t *testing.T) (*Trainer, func(v *visit)) {
+			tr, g := ncFixture(t, ModeDense, 52)
+			return tr, func(v *visit) {
+				v.targets = g.TrainNodes[:min(2*tr.Cfg.BatchSize, len(g.TrainNodes))]
+				v.n = len(v.targets)
+				v.batchSeeds = []int64{201, 202}
+			}
+		}},
 	}
-	v := &lpVisit{
-		mem: mem, adj: adj,
-		pool:       tr.Src.residentNodePool(nil, mem),
-		xEdges:     g.Edges[:2*tr.Cfg.BatchSize],
-		batchSeeds: []int64{101, 102},
-	}
-	b := tr.batchers[0]
-	if b == nil { // worker 0 may not have built a batch in the warm epoch
-		b = tr.newBatcher()
-	}
-	for i := 0; i < 4; i++ { // warm the batch pools for this visit shape
-		tr.putPB(b.prepare(v, i%2))
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		pb := b.prepare(v, 0)
-		tr.putPB(pb)
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state LP batch construction allocates %.1f/op, want 0", allocs)
-	}
-}
-
-// TestNCBatchConstructionZeroAlloc: same property for the NC batcher
-// (label gather + DENSE sampling over the incremental index).
-func TestNCBatchConstructionZeroAlloc(t *testing.T) {
-	tr, g := ncFixture(t, ModeDense, 52)
-	if _, err := tr.TrainEpoch(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	mem := []int{0, 1, 2, 3}
-	adj, err := tr.seg.refresh(tr.Src, mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := min(2*tr.Cfg.BatchSize, len(g.TrainNodes))
-	v := &ncVisit{
-		mem: mem, adj: adj,
-		targets:    g.TrainNodes[:n],
-		batchSeeds: []int64{201, 202},
-	}
-	b := tr.batchers[0]
-	if b == nil { // worker 0 may not have built a batch in the warm epoch
-		b = tr.newBatcher()
-	}
-	for i := 0; i < 4; i++ {
-		tr.putPB(b.prepare(v, i%2))
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		pb := b.prepare(v, 0)
-		tr.putPB(pb)
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state NC batch construction allocates %.1f/op, want 0", allocs)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tr, fill := tc.build(t)
+			if _, err := tr.TrainEpoch(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			adj, err := tr.seg.refresh(tr.Src, mem)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v := &visit{mem: mem, adj: adj}
+			fill(v)
+			b := tr.batchers[0]
+			if b == nil { // worker 0 may not have built a batch in the warm epoch
+				b = &batcher{t: tr}
+			}
+			for i := 0; i < 4; i++ { // warm the batch pools for this visit shape
+				tr.putPB(b.prepare(v, i%2))
+			}
+			allocs := testing.AllocsPerRun(100, func() {
+				pb := b.prepare(v, 0)
+				tr.putPB(pb)
+			})
+			if allocs != 0 {
+				t.Fatalf("steady-state %s batch construction allocates %.1f/op, want 0", tc.name, allocs)
+			}
+		})
 	}
 }
 

@@ -28,11 +28,11 @@ func TestLPGATTrainsEndToEnd(t *testing.T) {
 	ps := nn.NewParamSet()
 	enc := gnn.BuildGAT(ps, []int{dim, dim}, rng)
 	dec := decoder.NewDistMult(ps, g.NumRels, dim, rng)
-	tr := NewLP(LPConfig{
+	tr := NewLP(Config{
 		Encoder: enc, Params: ps, Decoder: dec,
 		Fanouts: []int{6}, Dirs: graph.Both,
 		BatchSize: 256, Negatives: 64,
-		DenseOpt: nn.NewAdam(0.01), EmbOpt: nn.NewSparseAdaGrad(0.1), ClipNorm: 5,
+		Opt: nn.NewAdam(0.01), EmbOpt: nn.NewSparseAdaGrad(0.1), ClipNorm: 5,
 		Workers: 2, Seed: 31,
 	}, src, policy.InMemory{P: 4})
 
@@ -72,10 +72,10 @@ func TestThrottledDiskTrainingStillCorrect(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	ps := nn.NewParamSet()
 	dec := decoder.NewDistMult(ps, g.NumRels, dim, rng)
-	tr := NewLP(LPConfig{
+	tr := NewLP(Config{
 		Params: ps, Decoder: dec,
 		BatchSize: 256, Negatives: 32,
-		DenseOpt: nn.NewAdam(0.01), EmbOpt: nn.NewSparseAdaGrad(0.1),
+		Opt: nn.NewAdam(0.01), EmbOpt: nn.NewSparseAdaGrad(0.1),
 		Workers: 2, Seed: 37,
 	}, src, policy.Comet{P: 4, L: 4, C: 2})
 
@@ -108,7 +108,7 @@ func TestNCEmptyVisitTargets(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	ps := nn.NewParamSet()
 	enc := gnn.BuildSage(ps, []int{6, 8, g.NumClasses}, gnn.Mean, rng)
-	tr := NewNC(NCConfig{
+	tr := NewNC(Config{
 		Encoder: enc, Params: ps,
 		Fanouts: []int{4, 4}, Dirs: graph.Both,
 		BatchSize: 64, Opt: nn.NewAdam(0.01),

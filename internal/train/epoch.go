@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"sync"
 
-	"repro/internal/graph"
 	"repro/internal/policy"
 	"repro/internal/storage"
 )
@@ -82,19 +81,4 @@ func (p *slicePool[T]) put(b []T) {
 	if len(p.bufs) < slicePoolCap {
 		p.bufs = append(p.bufs, b)
 	}
-}
-
-// readVisitEdges reads the training-example buckets assigned to the
-// visit (X_i) into a pooled buffer, unshuffled.
-func (src *Source) readVisitEdges(v *policy.Visit, pool *slicePool[graph.Edge]) ([]graph.Edge, error) {
-	edges := pool.get()
-	var err error
-	for _, b := range v.Buckets {
-		edges, err = src.Edges.ReadBucket(int(b[0]), int(b[1]), edges)
-		if err != nil {
-			pool.put(edges)
-			return nil, err
-		}
-	}
-	return edges, nil
 }

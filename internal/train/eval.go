@@ -18,7 +18,7 @@ import (
 // pass runs on the shared encode path — the same substrate online serving
 // uses — with one sampler whose RNG stream runs continuously across
 // batches.
-func EvaluateNC(cfg *NCConfig, src *Source, adj *graph.Adjacency, labels []int32, nodes []int32, seed int64) (float64, error) {
+func EvaluateNC(cfg *Config, src *Source, adj *graph.Adjacency, labels []int32, nodes []int32, seed int64) (float64, error) {
 	if len(nodes) == 0 {
 		return 0, nil
 	}

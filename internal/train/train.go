@@ -1,12 +1,21 @@
 // Package train implements MariusGNN's processing layer: the mini-batch
-// lifecycle of paper Fig. 2 (steps 1-6) expressed as explicit
-// produce/consume stages over the internal/pipeline executor. Each epoch
-// walks a policy's partition-visit plan (steps A-D) with a prefetcher
-// loading visits (partition staging, edge buckets, adjacency) ahead of
-// the trainer, worker goroutines constructing batches from per-batch
-// derived seeds, and the compute stage consuming them in plan order —
-// serial when PipelineDepth is 0, overlapped otherwise, with an
-// identical trajectory either way.
+// lifecycle of paper Fig. 2 (steps 1-6), which is the same for node
+// classification and link prediction. One Trainer runs it for both
+// tasks as explicit produce/consume stages over the internal/pipeline
+// executor. Each epoch walks a policy's partition-visit plan (steps A-D)
+// with a prefetcher loading visits (partition staging, edge buckets,
+// adjacency) ahead of the trainer, worker goroutines constructing
+// batches from per-batch derived seeds, and the compute stage consuming
+// them in plan order — serial when PipelineDepth is 0, overlapped
+// otherwise, with an identical trajectory either way.
+//
+// Only three task hooks differ between the tasks (NewNC and NewLP
+// install them): a visit's training examples (the not-yet-trained
+// partitions' labeled nodes, or the edges of the visit's buckets plus a
+// resident negative pool), a batch's input rows (the targets with their
+// labels, or the deduped endpoints and negatives), and the loss and
+// metric on the encoded batch. Learnable base representations (Config
+// EmbOpt) get their gradients written back after every batch.
 package train
 
 import (

@@ -14,7 +14,7 @@ import (
 )
 
 // ncFixture builds a small SBM graph plus an in-memory NC trainer.
-func ncFixture(t *testing.T, mode Mode, seed int64) (*NCTrainer, *graph.Graph) {
+func ncFixture(t *testing.T, mode Mode, seed int64) (*Trainer, *graph.Graph) {
 	t.Helper()
 	cfg := gen.SBMConfig{
 		NumNodes: 1500, NumClasses: 5, AvgDegree: 12, FeatureDim: 16,
@@ -31,7 +31,7 @@ func ncFixture(t *testing.T, mode Mode, seed int64) (*NCTrainer, *graph.Graph) {
 	rng := rand.New(rand.NewSource(seed))
 	ps := nn.NewParamSet()
 	enc := gnn.BuildSage(ps, []int{16, 32, g.NumClasses}, gnn.Mean, rng)
-	ncfg := NCConfig{
+	ncfg := Config{
 		Encoder: enc, Params: ps,
 		Fanouts: []int{10, 10}, Dirs: graph.Both,
 		BatchSize: 256, Opt: nn.NewAdam(0.01), ClipNorm: 5,
@@ -101,7 +101,7 @@ func TestNCDiskMatchesMemoryQuality(t *testing.T) {
 	rng := rand.New(rand.NewSource(seed))
 	ps := nn.NewParamSet()
 	enc := gnn.BuildSage(ps, []int{12, 24, g.NumClasses}, gnn.Mean, rng)
-	ncfg := NCConfig{
+	ncfg := Config{
 		Encoder: enc, Params: ps,
 		Fanouts: []int{8, 8}, Dirs: graph.Both,
 		BatchSize: 256, Opt: nn.NewAdam(0.01), ClipNorm: 5,
@@ -126,7 +126,7 @@ func TestNCDiskMatchesMemoryQuality(t *testing.T) {
 }
 
 // lpFixture builds a small KG and an LP trainer over the given source mode.
-func lpFixture(t *testing.T, pol policy.Policy, disk bool, p, c int, seed int64) (*LPTrainer, *graph.Graph, func()) {
+func lpFixture(t *testing.T, pol policy.Policy, disk bool, p, c int, seed int64) (*Trainer, *graph.Graph, func()) {
 	t.Helper()
 	g := gen.KG(gen.KGConfig{
 		NumEntities: 800, NumRelations: 12, NumEdges: 12000,
@@ -159,11 +159,11 @@ func lpFixture(t *testing.T, pol policy.Policy, disk bool, p, c int, seed int64)
 	ps := nn.NewParamSet()
 	enc := gnn.BuildSage(ps, []int{dim, dim}, gnn.Mean, rng)
 	dec := decoder.NewDistMult(ps, g.NumRels, dim, rng)
-	cfg := LPConfig{
+	cfg := Config{
 		Encoder: enc, Params: ps, Decoder: dec,
 		Fanouts: []int{10}, Dirs: graph.Both,
 		BatchSize: 512, Negatives: 128,
-		DenseOpt: nn.NewAdam(0.01), EmbOpt: nn.NewSparseAdaGrad(0.1), ClipNorm: 5,
+		Opt: nn.NewAdam(0.01), EmbOpt: nn.NewSparseAdaGrad(0.1), ClipNorm: 5,
 		Workers: 2, Seed: seed,
 	}
 	return NewLP(cfg, src, pol), g, cleanup
@@ -243,10 +243,10 @@ func TestLPDecoderOnlyDistMult(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	ps := nn.NewParamSet()
 	dec := decoder.NewDistMult(ps, g.NumRels, dim, rng)
-	cfg := LPConfig{
+	cfg := Config{
 		Params: ps, Decoder: dec, // Encoder nil: knowledge-graph embeddings only
 		BatchSize: 512, Negatives: 128,
-		DenseOpt: nn.NewAdam(0.01), EmbOpt: nn.NewSparseAdaGrad(0.1),
+		Opt: nn.NewAdam(0.01), EmbOpt: nn.NewSparseAdaGrad(0.1),
 		Workers: 2, Seed: 23,
 	}
 	tr := NewLP(cfg, src, policy.InMemory{P: 4})

@@ -18,6 +18,19 @@ import (
 	"repro/internal/train"
 )
 
+// trainConfig is the trainer configuration both tasks derive from the
+// session options; link prediction adds its negatives and embedding
+// optimizer.
+func (o *Options) trainConfig(enc *gnn.Encoder, ps *nn.ParamSet, dec decoder.Decoder, src *train.Source) train.Config {
+	return train.Config{
+		Encoder: enc, Params: ps, Decoder: dec,
+		Fanouts: o.Fanouts, Dirs: graph.Both,
+		BatchSize: o.BatchSize, Opt: nn.NewAdam(o.LR), ClipNorm: 5,
+		Workers: o.Workers, PipelineDepth: o.PipelineDepth, Mode: o.Mode, Seed: o.Seed,
+		Obs: o.observe(src),
+	}
+}
+
 func encoderDims(in, hidden, out, layers int) []int {
 	dims := []int{in}
 	for i := 0; i < layers-1; i++ {
@@ -44,16 +57,49 @@ func buildEncoder(kind ModelKind, ps *nn.ParamSet, dims []int, rng *rand.Rand) (
 // disk storage. The graph must carry Features, Labels and TrainNodes.
 func NodeClassification() Task { return &ncTask{} }
 
-type ncTask struct {
+type ncTask struct{ trainerTask }
+
+// trainerTask is the plumbing both tasks share: the trainer over its
+// source, the model, and the lazily built full-graph evaluation
+// adjacency.
+type trainerTask struct {
 	g    *graph.Graph
 	opts *Options
 
-	tr  *train.NCTrainer
+	tr  *train.Trainer
 	src *train.Source
 	ps  *nn.ParamSet
 	enc *gnn.Encoder
 
 	fullAdj *graph.Adjacency // lazily built for evaluation
+}
+
+func (t *trainerTask) TrainEpoch(ctx context.Context) (train.EpochStats, error) {
+	return t.tr.TrainEpoch(ctx)
+}
+
+func (t *trainerTask) Epoch() int                { return t.tr.Epoch() }
+func (t *trainerTask) SetEpoch(e int)            { t.tr.SetEpoch(e) }
+func (t *trainerTask) Params() *nn.ParamSet      { return t.ps }
+func (t *trainerTask) Source() *train.Source     { return t.src }
+func (t *trainerTask) SetPolicy(p policy.Policy) { t.tr.Pol = p }
+
+// adj lazily builds the full-graph evaluation adjacency. Dataset-backed
+// sessions keep no in-memory edge list, so the first evaluation reads
+// the buckets back from the edge store (bucket order — the same
+// flattened order the training index exposes).
+func (t *trainerTask) adj() (*graph.Adjacency, error) {
+	if t.fullAdj == nil {
+		edges := t.g.Edges
+		if len(edges) == 0 && t.opts.dataset != nil {
+			var err error
+			if edges, err = t.src.ReadAllEdges(); err != nil {
+				return nil, err
+			}
+		}
+		t.fullAdj = graph.BuildAdjacency(t.g.NumNodes, edges)
+	}
+	return t.fullAdj, nil
 }
 
 func (t *ncTask) Name() string { return TaskNC }
@@ -129,15 +175,8 @@ func (t *ncTask) assemble(g *graph.Graph, o *Options, src *train.Source, featDim
 	} else {
 		pol = policy.InMemory{P: p}
 	}
-	ncfg := train.NCConfig{
-		Encoder: enc, Params: ps,
-		Fanouts: o.Fanouts, Dirs: graph.Both,
-		BatchSize: o.BatchSize, Opt: nn.NewAdam(o.LR), ClipNorm: 5,
-		Workers: o.Workers, PipelineDepth: o.PipelineDepth, Mode: o.Mode, Seed: o.Seed,
-		Obs: o.observe(src),
-	}
 	t.g, t.opts, t.src, t.ps, t.enc = g, o, src, ps, enc
-	t.tr = train.NewNC(ncfg, src, pol, g.Labels, g.TrainNodes)
+	t.tr = train.NewNC(o.trainConfig(enc, ps, nil, src), src, pol, g.Labels, g.TrainNodes)
 	return nil
 }
 
@@ -185,33 +224,6 @@ func (t *ncTask) prepareDataset(g *graph.Graph, o *Options, ds *storage.Dataset)
 	return t.assemble(g, o, src, man.FeatureDim, p, c, trainParts, rng)
 }
 
-func (t *ncTask) TrainEpoch(ctx context.Context) (train.EpochStats, error) {
-	return t.tr.TrainEpoch(ctx)
-}
-
-func (t *ncTask) adj() (*graph.Adjacency, error) {
-	return evalAdj(&t.fullAdj, t.g, t.opts, t.src)
-}
-
-// evalAdj lazily builds (and caches in *cached) the full-graph
-// evaluation adjacency. Dataset-backed sessions keep no in-memory edge
-// list, so the first evaluation reads the buckets back from the edge
-// store (bucket order — the same flattened order the training index
-// exposes).
-func evalAdj(cached **graph.Adjacency, g *graph.Graph, o *Options, src *train.Source) (*graph.Adjacency, error) {
-	if *cached == nil {
-		edges := g.Edges
-		if len(edges) == 0 && o.dataset != nil {
-			var err error
-			if edges, err = src.ReadAllEdges(); err != nil {
-				return nil, err
-			}
-		}
-		*cached = graph.BuildAdjacency(g.NumNodes, edges)
-	}
-	return *cached, nil
-}
-
 // Evaluate computes accuracy over the full graph; with disk storage the
 // feature table is first read back into memory (evaluation nodes may live
 // in partitions that are not resident). Ranking specs are rejected:
@@ -254,12 +266,7 @@ func (t *ncTask) Evaluate(split Split, spec *EvalSpec) (EvalResult, error) {
 	return res, nil
 }
 
-func (t *ncTask) Epoch() int                { return t.tr.Epoch() }
-func (t *ncTask) SetEpoch(e int)            { t.tr.SetEpoch(e) }
-func (t *ncTask) Params() *nn.ParamSet      { return t.ps }
-func (t *ncTask) Source() *train.Source     { return t.src }
-func (t *ncTask) LearnableTable() bool      { return false }
-func (t *ncTask) SetPolicy(p policy.Policy) { t.tr.Pol = p }
+func (t *ncTask) LearnableTable() bool { return false }
 
 // LinkPrediction returns the link-prediction Task: learnable node
 // embeddings (optionally GNN-encoded) scored by a DistMult, ComplEx or
@@ -268,16 +275,8 @@ func (t *ncTask) SetPolicy(p policy.Policy) { t.tr.Pol = p }
 func LinkPrediction() Task { return &lpTask{} }
 
 type lpTask struct {
-	g    *graph.Graph
-	opts *Options
-
-	tr  *train.LPTrainer
-	src *train.Source
-	ps  *nn.ParamSet
-	enc *gnn.Encoder
+	trainerTask
 	dec decoder.Decoder
-
-	fullAdj *graph.Adjacency
 }
 
 func (t *lpTask) Name() string { return TaskLP }
@@ -383,16 +382,10 @@ func (t *lpTask) assemble(g *graph.Graph, o *Options, src *train.Source, p, c, l
 		pol = policy.InMemory{P: p}
 	}
 
-	lcfg := train.LPConfig{
-		Encoder: enc, Params: ps, Decoder: dec,
-		Fanouts: o.Fanouts, Dirs: graph.Both,
-		BatchSize: o.BatchSize, Negatives: o.Negatives,
-		DenseOpt: nn.NewAdam(o.LR), EmbOpt: nn.NewSparseAdaGrad(o.EmbLR), ClipNorm: 5,
-		Workers: o.Workers, PipelineDepth: o.PipelineDepth, Mode: o.Mode, Seed: o.Seed,
-		Obs: o.observe(src),
-	}
+	cfg := o.trainConfig(enc, ps, dec, src)
+	cfg.Negatives, cfg.EmbOpt = o.Negatives, nn.NewSparseAdaGrad(o.EmbLR)
 	t.g, t.opts, t.src, t.ps, t.enc, t.dec = g, o, src, ps, enc, dec
-	t.tr = train.NewLP(lcfg, src, pol)
+	t.tr = train.NewLP(cfg, src, pol)
 	return nil
 }
 
@@ -443,14 +436,6 @@ func (t *lpTask) prepareDataset(g *graph.Graph, o *Options, ds *storage.Dataset)
 		return err
 	}
 	return t.assemble(g, o, src, p, c, l, rng)
-}
-
-func (t *lpTask) TrainEpoch(ctx context.Context) (train.EpochStats, error) {
-	return t.tr.TrainEpoch(ctx)
-}
-
-func (t *lpTask) adj() (*graph.Adjacency, error) {
-	return evalAdj(&t.fullAdj, t.g, t.opts, t.src)
 }
 
 // Evaluate computes sampled-negative MRR (or full ranking for small
@@ -538,9 +523,4 @@ func (t *lpTask) embeddings() (*tensor.Tensor, error) {
 	return mem.Table(), nil
 }
 
-func (t *lpTask) Epoch() int                { return t.tr.Epoch() }
-func (t *lpTask) SetEpoch(e int)            { t.tr.SetEpoch(e) }
-func (t *lpTask) Params() *nn.ParamSet      { return t.ps }
-func (t *lpTask) Source() *train.Source     { return t.src }
-func (t *lpTask) LearnableTable() bool      { return true }
-func (t *lpTask) SetPolicy(p policy.Policy) { t.tr.Pol = p }
+func (t *lpTask) LearnableTable() bool { return true }
