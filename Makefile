@@ -1,12 +1,26 @@
 GO ?= go
 
-.PHONY: build test perfbench-test race race-pipeline race-fault bench-kernels bench-pipeline bench-sampler bench-ingest bench-serve bench-fault bench-eval bench-baseline check
+.PHONY: build test cross fuzz-short perfbench-test race race-pipeline race-fault bench-kernels bench-pipeline bench-sampler bench-ingest bench-serve bench-fault bench-eval bench-baseline check
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# The dense kernels have an amd64 AVX path (Go assembly) and a portable
+# Go fallback for every other architecture; vet the fallback on a 64-bit
+# and build it on a 32-bit target so it keeps compiling.
+cross:
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=386 $(GO) build ./...
+
+# Ten seconds of coverage-guided fuzzing of the dense kernels: AVX ==
+# portable == Ref* on fuzzer-chosen shapes and float32 bit patterns. The
+# seed corpus lives in internal/tensor/testdata/fuzz; `go test ./...`
+# replays it on every run.
+fuzz-short:
+	$(GO) test -run '^$$' -fuzz '^FuzzDenseKernels$$' -fuzztime=10s ./internal/tensor/
 
 # The end-to-end benchmark under perfbench/ is a nested module, so the
 # root `go build ./... && go test ./...` never compiles it. Format-check,
@@ -125,7 +139,8 @@ bench-baseline:
 	$(GO) run ./cmd/benchfault -check -o BENCH_fault.json
 	$(GO) run ./cmd/bencheval -check -o BENCH_eval.json
 
-# The full local gate: everything CI runs (test, the benchmark module,
-# race, race-pipeline, and every benchmark floor including the
-# end-to-end ingest and serving paths).
-check: build test perfbench-test race race-pipeline race-fault bench-kernels bench-pipeline bench-sampler bench-ingest bench-serve bench-fault bench-eval
+# The full local gate: everything CI runs (test, the cross-architecture
+# build, the short fuzz run, the benchmark module, race, race-pipeline,
+# and every benchmark floor including the end-to-end ingest and serving
+# paths).
+check: build test cross fuzz-short perfbench-test race race-pipeline race-fault bench-kernels bench-pipeline bench-sampler bench-ingest bench-serve bench-fault bench-eval

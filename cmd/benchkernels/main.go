@@ -173,6 +173,17 @@ func main() {
 		}
 	})
 	add(negFused)
+	// Reported only: the same fused kernel on its portable Go loop, so the
+	// AVX kernel's gain over it stays on record (on a CPU without AVX both
+	// rows time the portable loop).
+	tensor.SetPortableForTesting(true)
+	negPortable := bench("negscore_fused_gathermatmul_portable", negFlops, func(bb *testing.B) {
+		for i := 0; i < bb.N; i++ {
+			w4.GatherMatMulTB(qry, table, negIdx)
+		}
+	})
+	tensor.SetPortableForTesting(false)
+	add(negPortable)
 
 	// Quantized scoring: the serving/storage dequant path. Unfused
 	// materializes the full float32 table from the compressed form and
@@ -241,6 +252,7 @@ func main() {
 			"matmul_speedup_workers4_vs_serial": round2(speedupSerial),
 			"fused_gather_segment_speedup":      round2(float64(gsUnfused.NsPerOp) / float64(gsFused.NsPerOp)),
 			"fused_negscore_speedup":            round2(float64(negUnfused.NsPerOp) / float64(negFused.NsPerOp)),
+			"negscore_simd_vs_portable":         round2(float64(negPortable.NsPerOp) / float64(negFused.NsPerOp)),
 			"fused_dequant_speedup_fp16":        round2(deqSpeedup["fp16"]),
 			"fused_dequant_speedup_int8":        round2(deqSpeedup["int8"]),
 			"arena_allocs_per_batch":            arenaStep.AllocsPerOp,

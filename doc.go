@@ -39,11 +39,25 @@
 // (DistMult negative scoring). marius.WithWorkers(n) is a single knob for
 // both pipeline stages: n sampling workers feed the compute stage, and
 // every kernel in the forward/backward pass may fan out to n goroutines.
-// Kernel parallelism only ever partitions output rows or segments — no
-// floating-point reduction is ever split — so kernel results are bitwise
-// identical at every worker count. cmd/benchkernels measures the kernels
+// Kernel parallelism only ever partitions output rows, columns or
+// segments — no floating-point reduction is ever split — so kernel
+// results are bitwise identical at every worker count. cmd/benchkernels measures the kernels
 // against retained naive references and writes BENCH_kernels.json (the
 // checked-in baseline); `make bench-kernels` re-runs it with hard floors.
+//
+// On amd64 CPUs with AVX the dense float32 products — the three matmul
+// forms, the fused gather+matmul of negative scoring, its backward to the
+// queries, and the dequantizing scorer — run on one Go-assembly
+// micro-kernel; everywhere else they run portable Go loops. The two paths
+// are bitwise identical, so the same seed trains the same model on either:
+// each vector lane is one distinct output element, so no sum is split or
+// reordered; each term is one rounded multiply and one rounded add in the
+// same ascending order as the Go loop (there is no FMA, and the Go
+// compiler does not fuse x*y+z on amd64); and the kernel uses only VEX
+// encodings and ends with VZEROUPPER. Dot-product forms copy each block of
+// candidate rows into a small transposed stack panel, so lanes cover
+// different output columns. Differential tests and a fuzz target
+// (`make fuzz-short`) hold AVX == portable == the naive references.
 //
 // # The arena
 //

@@ -3,11 +3,24 @@ package decoder
 import (
 	"math"
 	"math/rand"
+	"os"
 	"testing"
 
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
+
+// TestMain runs the decoder suite twice: on the tensor package's AVX
+// kernels (where the CPU has them) and again forced onto its portable
+// loops, so the fused-scoring conformance holds on both paths.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if code == 0 {
+		tensor.SetPortableForTesting(true)
+		code = m.Run()
+	}
+	os.Exit(code)
+}
 
 // allKinds lists every decoder kind; conformance tests sweep them all.
 var allKinds = []string{KindDistMult, KindComplEx, KindTransE}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 
 	"repro/internal/ckpt"
@@ -24,7 +25,9 @@ import (
 // round-tripping unchanged. "filter": true removes known true tails (the
 // filtered protocol). See TopKRequest for the full contract.
 //
-// ErrBadRequest maps to 400 — malformed JSON, wrong task, out-of-range
+// Request bodies are read through http.MaxBytesReader: a body over
+// MaxRequestBytes maps to 413. ErrBadRequest maps to 400 — malformed
+// JSON, data after the JSON value, wrong task, out-of-range
 // node or relation IDs, a missing relation on a multi-relation dataset,
 // or conflicting "relation"/"rel" values. ErrCheckpointMismatch (via
 // /reload) maps to 409, ErrClosed to 503, ErrOverloaded (request shed at
@@ -34,8 +37,8 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/predict", func(w http.ResponseWriter, r *http.Request) {
 		var req PredictRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, errors.Join(ErrBadRequest, err))
+		if err := decodeBody(w, r, &req); err != nil {
+			httpError(w, err)
 			return
 		}
 		resp, err := s.Predict(r.Context(), &req)
@@ -47,8 +50,8 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /v1/topk", func(w http.ResponseWriter, r *http.Request) {
 		var req TopKRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, errors.Join(ErrBadRequest, err))
+		if err := decodeBody(w, r, &req); err != nil {
+			httpError(w, err)
 			return
 		}
 		resp, err := s.TopK(r.Context(), &req)
@@ -63,8 +66,8 @@ func (s *Server) Handler() http.Handler {
 			Checkpoint string `json:"checkpoint"`
 		}
 		if r.ContentLength != 0 {
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-				httpError(w, errors.Join(ErrBadRequest, err))
+			if err := decodeBody(w, r, &req); err != nil {
+				httpError(w, err)
 				return
 			}
 		}
@@ -101,6 +104,29 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// MaxRequestBytes bounds a JSON request body. The largest legitimate
+// body, a predict batch, stays far below it (about 12 bytes per node ID).
+const MaxRequestBytes = 1 << 20
+
+// decodeBody decodes exactly one JSON value from r's body into v, reading
+// at most MaxRequestBytes. Malformed JSON and any data after the value are
+// ErrBadRequest; an oversized body keeps its *http.MaxBytesError, which
+// httpError maps to 413.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
+	err := dec.Decode(v)
+	if err == nil {
+		// Only the end of the body may follow the value.
+		if _, err = dec.Token(); err == io.EOF {
+			return nil
+		}
+		if err == nil {
+			err = errors.New("serve: data after the JSON request body")
+		}
+	}
+	return errors.Join(ErrBadRequest, err)
+}
+
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
@@ -110,7 +136,10 @@ func writeJSON(w http.ResponseWriter, v any) {
 
 func httpError(w http.ResponseWriter, err error) {
 	code := http.StatusInternalServerError
+	var tooBig *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooBig):
+		code = http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrBadRequest):
 		code = http.StatusBadRequest
 	case errors.Is(err, ckpt.ErrMismatch):

@@ -200,3 +200,47 @@ func mustPost(t *testing.T, url string, body any) *http.Response {
 	}
 	return resp
 }
+
+// TestHTTPBodyLimits pins the request-body bounds of the JSON endpoints:
+// a body larger than MaxRequestBytes is refused with 413 (also when the
+// excess is trailing whitespace), and anything after the one JSON value
+// is refused with 400, on every endpoint that reads a body.
+func TestHTTPBodyLimits(t *testing.T) {
+	dir := prepNC(t, 2)
+	ckptPath := train(t, dir, ncOpts, 1)[0]
+	srv := startServer(t, dir, ckptPath, serve.Config{})
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+
+	postRaw := func(path, body string) int {
+		t.Helper()
+		resp, err := http.Post(hs.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	ids := strings.Repeat("1,", serve.MaxRequestBytes/2)
+	for _, tc := range []struct {
+		path, body string
+		want       int
+	}{
+		{"/v1/predict", `{"nodes":[1,2]}`, http.StatusOK},
+		{"/v1/predict", "{\"nodes\":[1,2]} \n\t", http.StatusOK},
+		{"/v1/predict", `{"nodes":[1,2]}{"nodes":[3]}`, http.StatusBadRequest},
+		{"/v1/predict", `{"nodes":[1,2]} x`, http.StatusBadRequest},
+		{"/v1/predict", `{"nodes":[1,2]}]`, http.StatusBadRequest},
+		{"/v1/topk", `{"src":1,"k":5} 7`, http.StatusBadRequest},
+		{"/reload", `{} {}`, http.StatusBadRequest},
+		{"/v1/predict", `{"nodes":[` + ids + `1]}`, http.StatusRequestEntityTooLarge},
+		{"/v1/predict", `{"nodes":[1]}` + strings.Repeat(" ", serve.MaxRequestBytes), http.StatusRequestEntityTooLarge},
+		{"/v1/topk", `{"src":1,"k":5,"pad":"` + strings.Repeat("x", serve.MaxRequestBytes) + `"}`, http.StatusRequestEntityTooLarge},
+		{"/reload", `{"checkpoint":"` + strings.Repeat("x", serve.MaxRequestBytes) + `"}`, http.StatusRequestEntityTooLarge},
+	} {
+		if got := postRaw(tc.path, tc.body); got != tc.want {
+			t.Errorf("%s with a %d-byte body %.40q...: status %d, want %d", tc.path, len(tc.body), tc.body, got, tc.want)
+		}
+	}
+}

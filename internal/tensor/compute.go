@@ -14,12 +14,14 @@ import (
 // property that makes sparse kernels underutilize GPUs). ScatterAdd is
 // therefore deliberately left single-threaded.
 //
-// Determinism: parallelism only ever partitions *output* rows or segments
-// across goroutines — no kernel splits a floating-point reduction. Every
-// output element is accumulated by exactly one goroutine in the same order
-// the serial kernel uses, so kernel results are bitwise identical at every
-// worker count. The worker knob trades latency, never numerics; the only
-// nondeterminism in multi-worker training is pipeline batch ordering.
+// Determinism: parallelism only ever partitions *output* rows, columns or
+// segments across goroutines — no kernel splits a floating-point
+// reduction (the fused gather kernels split their looked-up candidates,
+// which are output columns). Every output element is accumulated by
+// exactly one goroutine in the same order the serial kernel uses, so
+// kernel results are bitwise identical at every worker count. The worker
+// knob trades latency, never numerics; the only nondeterminism in
+// multi-worker training is pipeline batch ordering.
 //
 // A nil *Compute is valid and behaves as the package default: up to
 // GOMAXPROCS workers, heap-allocated outputs. The free kernel functions

@@ -44,9 +44,14 @@ func (c *Compute) MatMul(a, b *Tensor) *Tensor {
 // accumulate case folds new terms onto it in the same ascending order).
 func matmulRange(out, a, b *Tensor, start, end int) {
 	k, m := a.Cols, b.Cols
+	simd := useSIMD() && m > 0
 	for p0 := 0; p0 < k; p0 += blockK {
 		p1 := min(p0+blockK, k)
 		for i := start; i < end; i++ {
+			if simd {
+				matmulRangeAVX(&out.Data[i*m], &a.Data[i*k+p0], 1, &b.Data[p0*m], m, p1-p0, m, simdSeedOut|simdSkipZero)
+				continue
+			}
 			arow := a.Data[i*k : (i+1)*k]
 			orow := out.Data[i*m : (i+1)*m]
 			for p := p0; p < p1; p++ {
@@ -107,9 +112,21 @@ func (c *Compute) MatMulTransposeA(a, b *Tensor) *Tensor {
 }
 
 // matmulTARange computes out[start:end] += (aᵀ@b)[start:end] over the
-// columns of a (rows of out); each range walks all of k ascending.
+// columns of a (rows of out); each range walks all of k ascending. The AVX
+// path reads column i of a with stride n as the multipliers and streams
+// blockK rows of b at a time, so they stay cache resident across the
+// range's rows.
 func matmulTARange(out, a, b *Tensor, start, end int) {
 	k, n, m := a.Rows, a.Cols, b.Cols
+	if useSIMD() && m > 0 {
+		for p0 := 0; p0 < k; p0 += blockK {
+			p1 := min(p0+blockK, k)
+			for i := start; i < end; i++ {
+				matmulTARangeAVX(&out.Data[i*m], &a.Data[p0*n+i], n, &b.Data[p0*m], m, p1-p0, m, simdSeedOut|simdSkipZero)
+			}
+		}
+		return
+	}
 	for p := 0; p < k; p++ {
 		arow := a.Data[p*n : (p+1)*n]
 		brow := b.Data[p*m : (p+1)*m]
@@ -154,11 +171,33 @@ func (c *Compute) MatMulTransposeB(a, b *Tensor) *Tensor {
 
 // matmulTBRange computes one zero-seeded dot product per output element
 // and either stores it or adds it to the existing value in one addition.
-// Output columns are processed in pairs — two independent dot products per
-// pass over arow — which doubles ILP without touching any element's own
-// ascending-p accumulation order.
+// The AVX path copies each block of b rows into a transposed stack panel,
+// so the micro-kernel's lanes are distinct output columns, then runs every
+// row of the range against it. The portable loop processes output columns
+// in pairs — two independent dot products per pass over arow — which
+// doubles ILP without touching any element's own ascending-p accumulation
+// order.
 func matmulTBRange(out, a, b *Tensor, accumulate bool, start, end int) {
 	k, m := a.Cols, b.Rows
+	if pw := panelWidth(k); pw > 0 {
+		mode := 0
+		if accumulate {
+			mode = simdAddOut
+		}
+		var panel [panelFloats]float32
+		for j0 := 0; j0 < m; j0 += pw {
+			w := min(pw, m-j0)
+			for jj := 0; jj < w; jj++ {
+				for p, v := range b.Data[(j0+jj)*k : (j0+jj+1)*k] {
+					panel[p*w+jj] = v
+				}
+			}
+			for i := start; i < end; i++ {
+				matmulTBRangeAVX(&out.Data[i*m+j0], &a.Data[i*k], 1, &panel[0], w, k, w, mode)
+			}
+		}
+		return
+	}
 	for i := start; i < end; i++ {
 		arow := a.Data[i*k : (i+1)*k]
 		orow := out.Data[i*m : (i+1)*m]
@@ -262,18 +301,36 @@ func GatherMatMulTB(a, table *Tensor, idx []int32) *Tensor {
 	return (*Compute)(nil).GatherMatMulTB(a, table, idx)
 }
 
-// gatherMatMulTBRange iterates looked-up rows in the outer loop, in pairs,
-// so each scattered table row is fetched once (m row-jumps total instead
-// of (end-start)*m) and the rows of a stream sequentially with two
-// independent dot products per pass. Each output element remains one
-// zero-seeded ascending-p dot product.
-func gatherMatMulTBRange(out, a, table *Tensor, idx []int32, start, end int) {
-	k, m := a.Cols, len(idx)
-	j := 0
-	for ; j+1 < m; j += 2 {
+// gatherMatMulTBRange computes the output columns [jstart, jend) for every
+// row of a. The AVX path copies each block of looked-up rows into a
+// transposed stack panel (lanes are distinct output columns) and runs
+// every row of a against it. The portable loop takes the looked-up rows in
+// pairs, so each scattered table row is fetched once and the rows of a
+// stream sequentially with two independent dot products per pass. Either
+// way each output element is one zero-seeded ascending-p dot product.
+func gatherMatMulTBRange(out, a, table *Tensor, idx []int32, jstart, jend int) {
+	n, k, m := a.Rows, a.Cols, len(idx)
+	if pw := panelWidth(k); pw > 0 {
+		var panel [panelFloats]float32
+		for j0 := jstart; j0 < jend; j0 += pw {
+			w := min(pw, jend-j0)
+			for jj := 0; jj < w; jj++ {
+				id := int(idx[j0+jj])
+				for p, v := range table.Data[id*k : id*k+k] {
+					panel[p*w+jj] = v
+				}
+			}
+			for i := 0; i < n; i++ {
+				gatherMatMulTBRangeAVX(&out.Data[i*m+j0], &a.Data[i*k], 1, &panel[0], w, k, w, 0)
+			}
+		}
+		return
+	}
+	j := jstart
+	for ; j+1 < jend; j += 2 {
 		t0 := table.Data[int(idx[j])*k : int(idx[j])*k+k : int(idx[j])*k+k]
 		t1 := table.Data[int(idx[j+1])*k : int(idx[j+1])*k+k : int(idx[j+1])*k+k]
-		for i := start; i < end; i++ {
+		for i := 0; i < n; i++ {
 			arow := a.Data[i*k : (i+1)*k]
 			var s0, s1 float32
 			for p, av := range arow {
@@ -284,9 +341,9 @@ func gatherMatMulTBRange(out, a, table *Tensor, idx []int32, start, end int) {
 			out.Data[i*m+j+1] = s1
 		}
 	}
-	if j < m {
+	if j < jend {
 		trow := table.Data[int(idx[j])*k : int(idx[j])*k+k]
-		for i := start; i < end; i++ {
+		for i := 0; i < n; i++ {
 			arow := a.Data[i*k : (i+1)*k]
 			var s float32
 			for p, av := range arow {
@@ -297,23 +354,47 @@ func gatherMatMulTBRange(out, a, table *Tensor, idx []int32, start, end int) {
 	}
 }
 
-// GatherMatMulTB computes out[i][j] = ⟨a[i], table[idx[j]]⟩ fused.
+// GatherMatMulTB computes out[i][j] = ⟨a[i], table[idx[j]]⟩ fused. Workers
+// split the looked-up axis, in whole panels of the AVX path (one row for
+// the portable loop), so each looked-up row is gathered and transposed
+// once per op whatever the worker count.
 func (c *Compute) GatherMatMulTB(a, table *Tensor, idx []int32) *Tensor {
 	if a.Cols != table.Cols {
 		panic(fmt.Sprintf("tensor: GatherMatMulTB width mismatch %d vs %d", a.Cols, table.Cols))
 	}
 	n, k, m := a.Rows, a.Cols, len(idx)
 	out := c.alloc(n, m)
-	if c.serialFor(n, n*k*m) {
-		gatherMatMulTBRange(out, a, table, idx, 0, n)
+	bw := max(panelWidth(k), 1)
+	nb := (m + bw - 1) / bw
+	if c.serialFor(nb, n*k*m) {
+		gatherMatMulTBRange(out, a, table, idx, 0, m)
 		return out
 	}
-	c.fanOut(n, func(s, e int) { gatherMatMulTBRange(out, a, table, idx, s, e) })
+	c.fanOut(nb, func(s, e int) { gatherMatMulTBRange(out, a, table, idx, s*bw, min(e*bw, m)) })
 	return out
 }
 
+// matMulGatherRange accumulates rows [start, end) of out += g @
+// table[idx]. The AVX path copies blocks of looked-up rows into a
+// contiguous stack panel and folds each block onto the running output
+// rows, so every element still sums its terms in ascending j.
 func matMulGatherRange(out, g, table *Tensor, idx []int32, start, end int) {
 	m, k := len(idx), table.Cols
+	if useSIMD() && k > 0 && k <= panelFloats {
+		var panel [panelFloats]float32
+		rows := panelFloats / k
+		for j0 := 0; j0 < m; j0 += rows {
+			jn := min(rows, m-j0)
+			for jj := 0; jj < jn; jj++ {
+				id := int(idx[j0+jj])
+				copy(panel[jj*k:(jj+1)*k], table.Data[id*k:id*k+k])
+			}
+			for i := start; i < end; i++ {
+				matMulGatherRangeAVX(&out.Data[i*k], &g.Data[i*m+j0], 1, &panel[0], k, jn, k, simdSeedOut|simdSkipZero)
+			}
+		}
+		return
+	}
 	for i := start; i < end; i++ {
 		grow := g.Data[i*m : (i+1)*m]
 		orow := out.Data[i*k : (i+1)*k]

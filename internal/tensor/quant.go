@@ -292,8 +292,29 @@ func GatherMatMulTBDequant(a *Tensor, q *QTable, idx []int32) *Tensor {
 // worker count — and each output element is still one zero-seeded
 // ascending-p dot product, so results are bitwise identical to
 // GatherMatMulTB over the materialized table at any fan-out.
+//
+// The AVX path dequantizes each looked-up row into a scratch row and
+// transposes it into a stack panel, like gatherMatMulTBRange.
 func gatherMatMulTBDequantRange(out, a *Tensor, q *QTable, idx []int32, jstart, jend int) {
 	n, k, m := a.Rows, a.Cols, len(idx)
+	if pw := panelWidth(k); pw > 0 {
+		var panel [panelFloats]float32
+		var scratch [panelFloats / 8]float32 // pw > 0 implies k <= panelFloats/8
+		row := scratch[:k]
+		for j0 := jstart; j0 < jend; j0 += pw {
+			w := min(pw, jend-j0)
+			for jj := 0; jj < w; jj++ {
+				q.DequantRowInto(int(idx[j0+jj]), row)
+				for p, v := range row {
+					panel[p*w+jj] = v
+				}
+			}
+			for i := 0; i < n; i++ {
+				gatherMatMulTBDequantRangeAVX(&out.Data[i*m+j0], &a.Data[i*k], 1, &panel[0], w, k, w, 0)
+			}
+		}
+		return
+	}
 	buf := make([]float32, 2*k)
 	r0, r1 := buf[:k:k], buf[k:]
 	j := jstart
@@ -351,10 +372,12 @@ func (c *Compute) GatherMatMulTBDequant(a *Tensor, q *QTable, idx []int32) *Tens
 	}
 	n, k, m := a.Rows, a.Cols, len(idx)
 	out := c.alloc(n, m)
-	if c.serialFor(m, n*k*m) {
+	bw := max(panelWidth(k), 1) // split like GatherMatMulTB
+	nb := (m + bw - 1) / bw
+	if c.serialFor(nb, n*k*m) {
 		gatherMatMulTBDequantRange(out, a, q, idx, 0, m)
 		return out
 	}
-	c.fanOut(m, func(s, e int) { gatherMatMulTBDequantRange(out, a, q, idx, s, e) })
+	c.fanOut(nb, func(s, e int) { gatherMatMulTBDequantRange(out, a, q, idx, s*bw, min(e*bw, m)) })
 	return out
 }

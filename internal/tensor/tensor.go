@@ -5,6 +5,36 @@
 // role played by PyTorch dense CUDA kernels in the MariusGNN paper is played
 // here by the kernels in this package (matmul, gather, segment reductions).
 // All kernels operate on row-major [Rows x Cols] float32 buffers.
+//
+// # SIMD kernels and bit-exactness
+//
+// On amd64 CPUs with AVX (detected once with CPUID and XGETBV) the dense
+// float32 products — matmulRange, matmulTARange, matmulTBRange,
+// gatherMatMulTBRange, matMulGatherRange and gatherMatMulTBDequantRange —
+// hand their inner loops to one Go-assembly micro-kernel (simd_amd64.s);
+// other architectures and CPUs without AVX run the portable Go loops,
+// which the tests also use as the oracle. The two paths give the same
+// bits:
+//
+//   - Lanes are distinct output elements. A vector register holds 8
+//     different output columns of one row, never 8 partial sums of one
+//     element, so no reduction is split or reordered. Dot-product forms
+//     get there by copying each block of candidate rows into a transposed
+//     stack panel.
+//   - There is no FMA. Each term is one rounded VMULPS and one rounded
+//     VADDPS, in the same ascending order as the Go loop; the Go compiler
+//     emits MULSS+ADDSS for x*y+z on amd64 at every GOAMD64 level. Seeds
+//     match too: +0 for dot products, the existing value for
+//     accumulation, and a complete dot product added in one addition
+//     where the Go loop does that. Axpy forms skip zero multipliers, dot
+//     forms do not, exactly like their Go loops.
+//   - Only VEX encodings are used (VMOVUPS, VMASKMOVPS, VUCOMISS, ...),
+//     and the kernel ends with VZEROUPPER, so no legacy-SSE instruction
+//     pays the transition penalty next to dirty upper YMM halves.
+//
+// NaN payloads are the one thing not pinned: when two NaNs meet, x86
+// keeps the first operand's, and the Go compiler is free to commute an
+// addition. Every NaN stays a NaN on both paths.
 package tensor
 
 import (
