@@ -98,14 +98,15 @@ bench-serve:
 	$(GO) run ./cmd/benchserve -short -check -o /tmp/BENCH_serve.json
 
 # Race coverage focused on the fault-tolerance surface: the injector's
-# own determinism/crash tests, the storage retry and evict write-back
-# fault tests, serve resilience (shedding, deadlines, panic
-# containment), and the crash-resume differential.
+# own determinism/crash tests and the shared transfer loop and atomic
+# writer, the storage retry and evict write-back fault tests, serve
+# resilience (shedding, deadlines, panic containment), the crash-resume
+# differential, and ingest and checkpoint restore under IO weather.
 race-fault:
 	$(GO) test -race ./internal/fault/
 	$(GO) test -race -run 'Fault|Evict|Retry' ./internal/storage/
 	$(GO) test -race -run 'Shed|Timeout|Panic|Reload' ./internal/serve/
-	$(GO) test -race -run 'Crash|Resume|Journal' ./internal/ckpt/ ./internal/dataset/ ./marius/
+	$(GO) test -race -run 'Crash|Resume|Journal|Weather' ./internal/ckpt/ ./internal/dataset/ ./marius/
 
 # Short-mode chaos harness with hard gates: a prep killed mid-write must
 # recover via -force to a byte-identical dataset, training under random

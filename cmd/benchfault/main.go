@@ -279,7 +279,7 @@ func ingestPhase(work string, mkIngest func(string) dataset.Config, cleanDir str
 	ph.CrashSurfaced = errors.Is(err, fault.ErrCrashed)
 	_, err = os.Stat(filepath.Join(crashDir, storage.ManifestName))
 	ph.ManifestAbsent = os.IsNotExist(err)
-	_, err = storage.OpenDataset(crashDir)
+	_, err = storage.OpenDataset(nil, crashDir)
 	ph.OpenRejected = err != nil
 
 	retry := mkIngest(crashDir)

@@ -408,7 +408,7 @@ func quantDifferential(short bool, epochs int) (Quant, error) {
 // ckptStateBytes serializes the checkpoint at path with its dataset
 // provenance UUID cleared, for training-state byte comparison.
 func ckptStateBytes(path string) ([]byte, error) {
-	cp, err := ckpt.Read(path)
+	cp, err := ckpt.Read(nil, path)
 	if err != nil {
 		return nil, err
 	}

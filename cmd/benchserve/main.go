@@ -432,7 +432,7 @@ func trainLP(work, dir string, cfg Config) string {
 // deduplicated targets at the request seed, comparing logits bitwise
 // with the served responses.
 func ncMatchesEval(dir, ckptPath string, reqs []*serve.PredictRequest, served []*serve.PredictResponse) bool {
-	cp, err := ckpt.Read(ckptPath)
+	cp, err := ckpt.Read(nil, ckptPath)
 	must(err)
 	ps := nn.NewParamSet()
 	rng := rand.New(rand.NewSource(cp.Seed))

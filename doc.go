@@ -162,10 +162,11 @@
 // TrainFirstOrder for NC), so node IDs — and therefore bucket bytes —
 // come out exactly as the in-memory path would lay them out.
 //
-// storage.OpenDataset(dir) opens a prepared directory (validating the
-// manifest and every payload file's exact size, so truncation is a
-// typed *storage.CorruptError at open instead of an io.ErrUnexpectedEOF
-// mid-epoch); marius.FromDataset(dir, opts...) builds a Session on top,
+// storage.OpenDataset(fsys, dir) opens a prepared directory through a
+// fault.FS (nil means the real filesystem), validating the manifest and
+// every payload file's exact size, so truncation is a typed
+// *storage.CorruptError at open instead of an io.ErrUnexpectedEOF
+// mid-epoch; marius.FromDataset(dir, opts...) builds a Session on top,
 // serving edge buckets straight off the preprocessed file — the
 // fragment cache warms from disk on demand, nothing is re-sorted — and
 // cmd/mariusgnn -data trains from it. `mariusprep validate` runs the

@@ -14,13 +14,11 @@
 package ckpt
 
 import (
+	"bytes"
 	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-	"time"
 
 	"repro/internal/fault"
 	"repro/internal/nn"
@@ -99,17 +97,14 @@ type File struct {
 	DatasetUUID string
 }
 
-// Write saves f to path atomically and durably (write-to-temp, fsync,
+// Write saves f to path through fsys (nil means the real filesystem),
+// atomically and durably (fault.AtomicWrite: write-to-temp, fsync,
 // rename, fsync the directory): a crash at any point leaves either the
 // previous checkpoint or the complete new one, never a truncated file.
-func Write(path string, f *File) error {
-	return WriteFS(nil, path, f)
-}
-
-// WriteFS is Write writing through fsys (nil means the real
-// filesystem), so crash-injection tests can kill a run mid-checkpoint.
-func WriteFS(fsys fault.FS, path string, f *File) error {
-	return atomicWrite(fsys, path, ".ckpt-*", func(w io.Writer) error {
+// Routing through fsys lets crash-injection tests kill a run
+// mid-checkpoint.
+func Write(fsys fault.FS, path string, f *File) error {
+	return fault.AtomicWrite(fsys, path, ".ckpt-*", func(w io.Writer) error {
 		if err := gob.NewEncoder(w).Encode(f); err != nil {
 			return fmt.Errorf("ckpt: encode checkpoint: %w", err)
 		}
@@ -117,90 +112,28 @@ func WriteFS(fsys fault.FS, path string, f *File) error {
 	})
 }
 
-// atomicWrite streams fn's output into a temp file in path's directory,
-// fsyncs it, makes it world-readable (CreateTemp's 0600 would hide the
-// checkpoint from e.g. a serving process running as another user — every
-// other artifact the tools write is 0644 under the umask), renames it
-// over path, and fsyncs the directory so the rename itself survives a
-// crash. On any error the temp file is removed and path is untouched.
-func atomicWrite(fsys fault.FS, path, pattern string, fn func(io.Writer) error) error {
-	fs := fault.Or(fsys)
-	tmp, err := fs.CreateTemp(filepath.Dir(path), pattern)
-	if err != nil {
-		return err
-	}
-	defer fs.Remove(tmp.Name())
-	if err := fn(retryWriter{tmp}); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Chmod(0o644); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := fs.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	dir, err := os.Open(filepath.Dir(path))
-	if err != nil {
-		return err
-	}
-	defer dir.Close()
-	return dir.Sync()
-}
-
-// retryWriter adapts a fault-injectable file to the strict io.Writer
-// contract: short writes (n < len(p) with nil error — POSIX-permitted
-// partial IO) are continued, and transient errors are retried with the
-// same bounded exponential backoff as the storage layer, so a gob or
-// JSON encoder streaming through it never sees a retryable blip.
-type retryWriter struct{ f fault.File }
-
-func (w retryWriter) Write(p []byte) (int, error) {
-	total, attempt := 0, 0
-	for len(p) > 0 {
-		n, err := w.f.Write(p)
-		total += n
-		p = p[n:]
-		if len(p) == 0 {
-			return total, nil
-		}
-		if err == nil {
-			if n == 0 {
-				return total, io.ErrNoProgress
-			}
-			attempt = 0
-			continue
-		}
-		if n > 0 {
-			attempt = 0
-		}
-		if !fault.IsTransient(err) || attempt >= 4 {
-			return total, err
-		}
-		time.Sleep(500 * time.Microsecond << attempt)
-		attempt++
-	}
-	return total, nil
-}
-
-// Read loads a checkpoint from path. It performs no validation beyond
-// decoding; callers check Version and their own shape constraints.
-func Read(path string) (*File, error) {
-	f, err := os.Open(path)
+// Read loads a checkpoint from path through fsys (nil means the real
+// filesystem). The whole file is read through the fault package's
+// transfer loop before decoding, so short reads and transient errors are
+// absorbed here rather than surfacing as a decode failure. Read performs
+// no validation beyond decoding; callers check Version and their own
+// shape constraints.
+func Read(fsys fault.FS, path string) (*File, error) {
+	f, err := fault.Or(fsys).Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]byte, st.Size())
+	if err := fault.ReadFullAt(f, buf, 0, nil); err != nil {
+		return nil, fmt.Errorf("ckpt: read checkpoint: %w", err)
+	}
 	var cp File
-	if err := gob.NewDecoder(f).Decode(&cp); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(buf)).Decode(&cp); err != nil {
 		return nil, fmt.Errorf("ckpt: decode checkpoint: %w", err)
 	}
 	return &cp, nil

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/nn"
 )
 
@@ -44,10 +45,10 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "model.ckpt")
 	want := sampleFile()
-	if err := Write(path, want); err != nil {
+	if err := Write(nil, path, want); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
-	got, err := Read(path)
+	got, err := Read(nil, path)
 	if err != nil {
 		t.Fatalf("Read: %v", err)
 	}
@@ -75,7 +76,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 // Write must publish it world-readable like every other artifact.
 func TestWriteFileMode(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "model.ckpt")
-	if err := Write(path, sampleFile()); err != nil {
+	if err := Write(nil, path, sampleFile()); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
 	info, err := os.Stat(path)
@@ -93,7 +94,7 @@ func TestWriteFileMode(t *testing.T) {
 func TestAtomicWriteFailureLeavesDestination(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "model.ckpt")
-	if err := Write(path, sampleFile()); err != nil {
+	if err := Write(nil, path, sampleFile()); err != nil {
 		t.Fatalf("seed Write: %v", err)
 	}
 	before, err := os.ReadFile(path)
@@ -102,12 +103,12 @@ func TestAtomicWriteFailureLeavesDestination(t *testing.T) {
 	}
 
 	boom := errors.New("short write")
-	err = atomicWrite(nil, path, ".ckpt-*", func(w io.Writer) error {
+	err = fault.AtomicWrite(nil, path, ".ckpt-*", func(w io.Writer) error {
 		w.Write([]byte("partial garbage"))
 		return boom
 	})
 	if !errors.Is(err, boom) {
-		t.Fatalf("atomicWrite error = %v, want %v", err, boom)
+		t.Fatalf("AtomicWrite error = %v, want %v", err, boom)
 	}
 	after, err := os.ReadFile(path)
 	if err != nil {
@@ -119,7 +120,7 @@ func TestAtomicWriteFailureLeavesDestination(t *testing.T) {
 	if left := leftoverTemps(t, dir); len(left) != 0 {
 		t.Errorf("temp files left behind after failed write: %v", left)
 	}
-	if got, err := Read(path); err != nil || got.Epoch != 3 {
+	if got, err := Read(nil, path); err != nil || got.Epoch != 3 {
 		t.Errorf("existing checkpoint unreadable after failed write: %v", err)
 	}
 }
@@ -128,15 +129,15 @@ func TestWriteOverwritesAtomically(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "model.ckpt")
 	first := sampleFile()
-	if err := Write(path, first); err != nil {
+	if err := Write(nil, path, first); err != nil {
 		t.Fatalf("first Write: %v", err)
 	}
 	second := sampleFile()
 	second.Epoch = 9
-	if err := Write(path, second); err != nil {
+	if err := Write(nil, path, second); err != nil {
 		t.Fatalf("second Write: %v", err)
 	}
-	got, err := Read(path)
+	got, err := Read(nil, path)
 	if err != nil {
 		t.Fatalf("Read: %v", err)
 	}

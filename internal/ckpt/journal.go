@@ -74,10 +74,10 @@ func JournalPath(ckptPath string) string { return ckptPath + JournalSuffix }
 
 // WriteJournal atomically and durably writes j to path through fsys
 // (nil means the real filesystem), with the same temp-fsync-rename
-// discipline as checkpoints: a crash leaves either the previous journal
-// or the complete new one.
+// discipline (fault.AtomicWrite) as checkpoints: a crash leaves either
+// the previous journal or the complete new one.
 func WriteJournal(fsys fault.FS, path string, j *Journal) error {
-	return atomicWrite(fsys, path, ".journal-*", func(w io.Writer) error {
+	return fault.AtomicWrite(fsys, path, ".journal-*", func(w io.Writer) error {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(j); err != nil {

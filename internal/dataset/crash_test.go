@@ -54,7 +54,7 @@ func TestIngestCrashThenForceReingest(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(crashDir, storage.ManifestName)); !os.IsNotExist(err) {
 		t.Fatal("crashed ingest left a manifest; partial output would pass for complete")
 	}
-	if _, err := storage.OpenDataset(crashDir); err == nil {
+	if _, err := storage.OpenDataset(nil, crashDir); err == nil {
 		t.Fatal("OpenDataset accepted a crashed prep's directory")
 	}
 

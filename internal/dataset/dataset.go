@@ -280,7 +280,7 @@ func Ingest(cfg Config) (*Stats, error) {
 	// Stage 3: stream the training edges through the external bucket
 	// sort under the memory cap.
 	maxEdges := int(cfg.MemLimit / edgeMemBytes)
-	srt, err := newExtSorter(pt, maxEdges, tmp)
+	srt, err := newExtSorter(fsys, pt, maxEdges, tmp)
 	if err != nil {
 		return nil, err
 	}
@@ -474,7 +474,7 @@ func Ingest(cfg Config) (*Stats, error) {
 	// Checkpoints trained on this dataset embed it, letting serving warn
 	// on checkpoint/dataset provenance mismatches.
 	man.UUID = man.ComputeUUID()
-	if err := storage.WriteManifestFS(cfg.FS, cfg.Out, man); err != nil {
+	if err := storage.WriteManifest(cfg.FS, cfg.Out, man); err != nil {
 		return nil, err
 	}
 	st.NumRels = man.NumRels
@@ -487,7 +487,9 @@ func Ingest(cfg Config) (*Stats, error) {
 // crcFile writes a payload file while accumulating its size and IEEE
 // CRC32 for the manifest: buffered writes tee into the hash. The file
 // opens through the configured fault.FS, so crash injection can tear
-// any payload write mid-ingest.
+// any payload write mid-ingest, and is written through a
+// fault.StrictWriter, so a short or transient write is retried instead
+// of surfacing as io.ErrShortWrite.
 type crcFile struct {
 	f fault.File
 	h hash.Hash32
@@ -501,7 +503,7 @@ func newCRCFile(fsys fault.FS, path string) (*crcFile, error) {
 		return nil, err
 	}
 	h := crc32.NewIEEE()
-	return &crcFile{f: f, h: h, w: bufio.NewWriterSize(io.MultiWriter(f, h), 1<<16)}, nil
+	return &crcFile{f: f, h: h, w: bufio.NewWriterSize(io.MultiWriter(fault.StrictWriter(f, nil), h), 1<<16)}, nil
 }
 
 func (c *crcFile) write(p []byte) error {

@@ -60,7 +60,7 @@ func checkpointBytes(t *testing.T, sess *marius.Session) []byte {
 	if err := sess.Save(path); err != nil {
 		t.Fatalf("save: %v", err)
 	}
-	cp, err := ckpt.Read(path)
+	cp, err := ckpt.Read(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestValidateDetectsCorruption(t *testing.T) {
 	if err := os.WriteFile(edgesPath, orig[:len(orig)-5], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := storage.OpenDataset(out); !errors.Is(err, storage.ErrCorruptDataset) {
+	if _, err := storage.OpenDataset(nil, out); !errors.Is(err, storage.ErrCorruptDataset) {
 		t.Fatalf("open of truncated dataset: got %v, want ErrCorruptDataset", err)
 	}
 	if _, err := dataset.Validate(out); !errors.Is(err, dataset.ErrCorrupt) {
@@ -284,7 +284,7 @@ func TestValidateDetectsCorruption(t *testing.T) {
 	if err := os.WriteFile(edgesPath, corrupted, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := storage.OpenDataset(out); err != nil {
+	if _, err := storage.OpenDataset(nil, out); err != nil {
 		t.Fatalf("open only checks sizes, got %v", err)
 	}
 	_, err = dataset.Validate(out)
@@ -325,10 +325,10 @@ func TestValidateDetectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	man.Version = storage.DatasetVersionRelations + 1
-	if err := storage.WriteManifest(out, man); err != nil {
+	if err := storage.WriteManifest(nil, out, man); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := storage.OpenDataset(out); !errors.Is(err, storage.ErrDatasetVersion) {
+	if _, err := storage.OpenDataset(nil, out); !errors.Is(err, storage.ErrDatasetVersion) {
 		t.Fatalf("open of future version: got %v, want ErrDatasetVersion", err)
 	}
 }
@@ -458,7 +458,7 @@ func TestRelationVersioning(t *testing.T) {
 	// Downgrading the multi-relation manifest to a pre-relation version
 	// must fail typed at read time.
 	man.Version = storage.DatasetVersionPlain
-	if err := storage.WriteManifest(multi, man); err != nil {
+	if err := storage.WriteManifest(nil, multi, man); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := storage.ReadManifest(multi); !errors.Is(err, storage.ErrDatasetVersion) {

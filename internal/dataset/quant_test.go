@@ -39,7 +39,7 @@ func ingestQuant(t *testing.T, quantize string) string {
 // re-round).
 func TestQuantRoundTrip(t *testing.T) {
 	f32Dir := ingestQuant(t, "")
-	f32DS, err := storage.OpenDataset(f32Dir)
+	f32DS, err := storage.OpenDataset(nil, f32Dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestQuantRoundTrip(t *testing.T) {
 			if _, err := dataset.Validate(dir); err != nil {
 				t.Fatalf("validate: %v", err)
 			}
-			ds, err := storage.OpenDataset(dir)
+			ds, err := storage.OpenDataset(nil, dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -257,7 +257,7 @@ func TestQuantCorruption(t *testing.T) {
 	if err := os.WriteFile(featPath, feat[:len(feat)-3], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := storage.OpenDataset(dir); !errors.Is(err, storage.ErrCorruptDataset) {
+	if _, err := storage.OpenDataset(nil, dir); !errors.Is(err, storage.ErrCorruptDataset) {
 		t.Fatalf("open of truncated quantized features: got %v, want ErrCorruptDataset", err)
 	}
 	if err := os.WriteFile(featPath, feat, 0o644); err != nil {
@@ -286,10 +286,10 @@ func TestQuantCorruption(t *testing.T) {
 	// A version-1 manifest cannot claim quantization: version 1 is the
 	// pre-quantization format old readers interpret as float32.
 	man.Version = storage.DatasetVersionPlain
-	if err := storage.WriteManifest(dir, man); err != nil {
+	if err := storage.WriteManifest(nil, dir, man); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := storage.OpenDataset(dir); !errors.Is(err, storage.ErrDatasetVersion) {
+	if _, err := storage.OpenDataset(nil, dir); !errors.Is(err, storage.ErrDatasetVersion) {
 		t.Fatalf("open of v1 manifest with quant: got %v, want ErrDatasetVersion", err)
 	}
 

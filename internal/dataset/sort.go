@@ -34,7 +34,7 @@ type extSorter struct {
 	buf      []graph.Edge
 	enc      []byte // one run's encoded bytes, bucket-grouped
 
-	spill *os.File // runs appended back to back
+	spill fault.File // runs appended back to back
 	runs  [][]int64
 
 	peakEdges int
@@ -45,13 +45,13 @@ type extSorter struct {
 // 12-byte in-memory edge plus its 12-byte encoded copy in the run buffer.
 const edgeMemBytes = 2 * edgeBytes
 
-// newExtSorter returns a sorter spilling to a temp file under tmpDir,
-// buffering at most maxEdges edges.
-func newExtSorter(pt partition.Partitioning, maxEdges int, tmpDir string) (*extSorter, error) {
+// newExtSorter returns a sorter spilling to a temp file created through
+// fsys under tmpDir, buffering at most maxEdges edges.
+func newExtSorter(fsys fault.FS, pt partition.Partitioning, maxEdges int, tmpDir string) (*extSorter, error) {
 	if maxEdges < 1 {
 		maxEdges = 1
 	}
-	f, err := os.CreateTemp(tmpDir, "mariusprep-spill-*")
+	f, err := fsys.CreateTemp(tmpDir, "mariusprep-spill-*")
 	if err != nil {
 		return nil, err
 	}
@@ -120,7 +120,7 @@ func (s *extSorter) spillRun() error {
 		return nil
 	}
 	counts, enc := s.encodeRun()
-	if _, err := s.spill.Write(enc); err != nil {
+	if err := fault.WriteFullAt(s.spill, enc, s.spilled, nil); err != nil {
 		return fmt.Errorf("dataset: spill run %d: %w", len(s.runs), err)
 	}
 	s.runs = append(s.runs, counts)
@@ -150,7 +150,7 @@ func (s *extSorter) merge(fsys fault.FS, outPath string) (counts []int64, crcs [
 		if err != nil {
 			return nil, nil, err
 		}
-		if _, err := out.Write(enc); err != nil {
+		if err := fault.WriteFullAt(out, enc, 0, nil); err != nil {
 			out.Close()
 			return nil, nil, fmt.Errorf("dataset: write %s: %w", outPath, err)
 		}
@@ -194,10 +194,10 @@ func (s *extSorter) merge(fsys fault.FS, outPath string) (counts []int64, crcs [
 				if rem < n {
 					n = rem
 				}
-				if _, err := s.spill.ReadAt(cb[:n], runOff); err != nil {
+				if err := fault.ReadFullAt(s.spill, cb[:n], runOff, nil); err != nil {
 					return nil, nil, fmt.Errorf("dataset: read spill run: %w", err)
 				}
-				if _, err := out.WriteAt(cb[:n], pos[b]); err != nil {
+				if err := fault.WriteFullAt(out, cb[:n], pos[b], nil); err != nil {
 					return nil, nil, fmt.Errorf("dataset: write bucket %d: %w", b, err)
 				}
 				crcs[b] = crc32.Update(crcs[b], crc32.IEEETable, cb[:n])

@@ -19,7 +19,7 @@ import (
 // edge storage the bucket — that failed, instead of an opaque
 // io.ErrUnexpectedEOF surfacing mid-epoch.
 func Validate(dir string) (*storage.Dataset, error) {
-	ds, err := storage.OpenDataset(dir)
+	ds, err := storage.OpenDataset(nil, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -145,7 +145,7 @@ type Report struct {
 
 // Inspect opens dir and summarizes it from the manifest alone.
 func Inspect(dir string) (*Report, error) {
-	ds, err := storage.OpenDataset(dir)
+	ds, err := storage.OpenDataset(nil, dir)
 	if err != nil {
 		return nil, err
 	}

@@ -13,6 +13,13 @@
 // operation on the injector fails with ErrCrashed, leaving on disk
 // exactly the state an abrupt process death would. Recovery code is
 // then exercised by reopening the same directory through a fresh FS.
+//
+// The package also owns the repo's one IO-robustness mechanism (io.go):
+// the only retry schedule (bounded exponential backoff for transient
+// errors, loop-to-fill on short IO) behind ReadFullAt, WriteFullAt and
+// StrictWriter, and the only temp → fsync → rename → fsync-dir sequence,
+// AtomicWrite. Storage, checkpoints, journals, manifests and ingest all
+// move their bytes through these, so the policy lives in one place.
 package fault
 
 import (
@@ -107,8 +114,9 @@ func (osFS) Stat(name string) (os.FileInfo, error) {
 }
 
 // ErrTransient marks an injected fault that a bounded retry should
-// absorb. Storage's retry loop treats it (and EINTR-class errnos) as
-// retryable; everything else is fatal.
+// absorb. The transfer loop (ReadFullAt, WriteFullAt, StrictWriter)
+// treats it (and EINTR-class errnos) as retryable; everything else is
+// fatal.
 var ErrTransient = errors.New("fault: injected transient IO error")
 
 // ErrCrashed marks every operation after the injector's crash point

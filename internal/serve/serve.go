@@ -156,7 +156,7 @@ type Context struct {
 // dataset.
 func Open(dir string, cfg Config) (*Context, error) {
 	cfg = cfg.withDefaults()
-	ds, err := storage.OpenDataset(dir)
+	ds, err := storage.OpenDataset(nil, dir)
 	if err != nil {
 		return nil, err
 	}

@@ -185,7 +185,7 @@ func TestServePredictMatchesEval(t *testing.T) {
 
 	// Reference: rebuild the model exactly as training holds it and run
 	// the evaluation forward over the deduplicated targets.
-	cp, err := ckpt.Read(ckptPath)
+	cp, err := ckpt.Read(nil, ckptPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +433,7 @@ func TestHotReloadSnapshotIsolation(t *testing.T) {
 // in the forward pass.
 func TestLoadRejectsMismatch(t *testing.T) {
 	dir := prepNC(t, 2)
-	good, err := ckpt.Read(train(t, dir, ncOpts, 1)[0])
+	good, err := ckpt.Read(nil, train(t, dir, ncOpts, 1)[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +459,7 @@ func TestLoadRejectsMismatch(t *testing.T) {
 		bad.Model.Fanouts = append([]int(nil), good.Model.Fanouts...)
 		tc.mutate(&bad)
 		path := filepath.Join(t.TempDir(), "bad.ckpt")
-		if err := ckpt.Write(path, &bad); err != nil {
+		if err := ckpt.Write(nil, path, &bad); err != nil {
 			t.Fatal(err)
 		}
 		_, err := serve.Load(sctx, path, serve.Config{})
@@ -761,7 +761,7 @@ func TestServeAllDecoders(t *testing.T) {
 // "decoder" field.
 func TestLoadRejectsDecoderMismatch(t *testing.T) {
 	dir := prepLP(t)
-	good, err := ckpt.Read(train(t, dir, lpOpts, 1)[0])
+	good, err := ckpt.Read(nil, train(t, dir, lpOpts, 1)[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -775,7 +775,7 @@ func TestLoadRejectsDecoderMismatch(t *testing.T) {
 	bad.Model.Fanouts = append([]int(nil), good.Model.Fanouts...)
 	bad.Model.Decoder = "rotate"
 	path := filepath.Join(t.TempDir(), "bad.ckpt")
-	if err := ckpt.Write(path, &bad); err != nil {
+	if err := ckpt.Write(nil, path, &bad); err != nil {
 		t.Fatal(err)
 	}
 	_, err = serve.Load(sctx, path, serve.Config{})

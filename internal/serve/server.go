@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/decoder"
-	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sampler"
 	"repro/internal/storage"
@@ -215,35 +214,19 @@ func (s *Server) noteSaturation(saturated bool) {
 // Snapshot returns the currently served snapshot.
 func (s *Server) Snapshot() *Snapshot { return s.snap.Load() }
 
-// reloadRetries/reloadBackoff bound Reload's retry loop on transient IO
-// errors: 4 retries starting at 5ms doubling (~75ms worst case), long
-// enough to ride out a checkpoint mid-rename or an injected blip, short
-// enough that a SIGHUP-triggered reload stays prompt.
-const (
-	reloadRetries = 4
-	reloadBackoff = 5 * time.Millisecond
-)
-
 // Reload loads the checkpoint at path and atomically swaps it in.
 // In-flight micro-batches finish on the snapshot they pinned; requests
 // batched after the swap see the new one. Transient IO errors are
-// retried with bounded backoff; on (persistent) error the old snapshot
-// keeps serving and /healthz degrades until a reload succeeds.
+// absorbed below Load (ckpt.Read reads through the fault package's
+// retrying transfer loop); on error the old snapshot keeps serving and
+// /healthz degrades until a reload succeeds.
 func (s *Server) Reload(path string) (*Snapshot, error) {
-	var snap *Snapshot
-	var err error
-	for attempt := 0; ; attempt++ {
-		snap, err = Load(s.ctx, path, s.cfg)
-		if err == nil {
-			break
-		}
-		if !fault.IsTransient(err) || attempt >= reloadRetries {
-			msg := err.Error()
-			s.reloadErr.Store(&msg)
-			s.reloadFailures.Inc()
-			return nil, err
-		}
-		time.Sleep(reloadBackoff << attempt)
+	snap, err := Load(s.ctx, path, s.cfg)
+	if err != nil {
+		msg := err.Error()
+		s.reloadErr.Store(&msg)
+		s.reloadFailures.Inc()
+		return nil, err
 	}
 	s.snap.Store(snap)
 	s.reloadErr.Store(nil)

@@ -83,7 +83,7 @@ func encoderDims(in, hidden, out, layers int) []int {
 // model.
 func Load(ctx *Context, path string, cfg Config) (*Snapshot, error) {
 	cfg = cfg.withDefaults()
-	cp, err := ckpt.Read(path)
+	cp, err := ckpt.Read(nil, path)
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}

@@ -216,58 +216,20 @@ func (m *Manifest) ComputeUUID() string {
 	return fmt.Sprintf("ds1-%016x", h.Sum64())
 }
 
-// WriteManifest atomically and durably writes m as dir/manifest.json: the
-// temp file is fsynced before the rename (and the directory after), so a
-// crash right after the rename cannot leave an empty or truncated
-// manifest where a complete one was promised.
-func WriteManifest(dir string, m *Manifest) error {
-	return WriteManifestFS(nil, dir, m)
-}
-
-// WriteManifestFS is WriteManifest writing through fsys (nil means the
-// real filesystem).
-func WriteManifestFS(fsys fault.FS, dir string, m *Manifest) error {
-	fs := fault.Or(fsys)
+// WriteManifest atomically and durably writes m as dir/manifest.json
+// through fsys (nil means the real filesystem): the temp file is fsynced
+// before the rename (and the directory after), so a crash right after the
+// rename cannot leave an empty or truncated manifest where a complete one
+// was promised.
+func WriteManifest(fsys fault.FS, dir string, m *Manifest) error {
 	buf, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return err
 	}
-	tmp, err := fs.CreateTemp(dir, ".manifest-*")
-	if err != nil {
+	return fault.AtomicWrite(fsys, filepath.Join(dir, ManifestName), ".manifest-*", func(w io.Writer) error {
+		_, err := w.Write(append(buf, '\n'))
 		return err
-	}
-	defer fs.Remove(tmp.Name())
-	if err := writeFull(tmp, append(buf, '\n'), 0, nil); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	// CreateTemp's 0600 would make the dataset unreadable to other users,
-	// unlike every payload file written with os.Create under the umask.
-	if err := tmp.Chmod(0o644); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := fs.Rename(tmp.Name(), filepath.Join(dir, ManifestName)); err != nil {
-		return err
-	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory so a just-renamed entry survives a crash.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
+	})
 }
 
 // ReadManifest reads and structurally validates dir/manifest.json.
@@ -339,15 +301,11 @@ type Dataset struct {
 // payload file exists with its exact declared size, so truncated files
 // are rejected here with a typed *CorruptError instead of surfacing as a
 // raw io.ErrUnexpectedEOF mid-epoch. Contents are not checksummed — run
-// Verify (mariusprep validate) for the full integrity pass.
-func OpenDataset(dir string) (*Dataset, error) {
-	return OpenDatasetFS(nil, dir)
-}
-
-// OpenDatasetFS is OpenDataset reading through fsys (nil means the real
-// filesystem); every store and payload read derived from the returned
-// Dataset goes through the same FS.
-func OpenDatasetFS(fsys fault.FS, dir string) (*Dataset, error) {
+// Verify (mariusprep validate) for the full integrity pass. Payloads are
+// read through fsys (nil means the real filesystem); every store and
+// payload read derived from the returned Dataset goes through the same
+// FS.
+func OpenDataset(fsys fault.FS, dir string) (*Dataset, error) {
 	m, err := ReadManifest(dir)
 	if err != nil {
 		return nil, err
@@ -399,7 +357,7 @@ func (d *Dataset) path(name string) string { return filepath.Join(d.Dir, name) }
 // manifest counts, so no ingest-time re-sort (or even a full read)
 // happens at open.
 func (d *Dataset) EdgeStore(throttle *Throttle) (*DiskEdgeStore, error) {
-	return OpenDiskEdgeStoreFS(d.fs, d.path(d.Man.Edges.Name), d.pt, d.Man.BucketCounts, throttle)
+	return openDiskEdgeStore(d.fs, d.path(d.Man.Edges.Name), d.pt, d.Man.BucketCounts, throttle)
 }
 
 // NodeStore pages the dataset's feature table through a partition buffer
@@ -449,8 +407,8 @@ func (d *Dataset) ReadFeatures() (*tensor.Tensor, error) {
 	return t, nil
 }
 
-// readAllPayload reads one payload file fully through the dataset's FS,
-// with the storage layer's loop-to-fill and transient-retry discipline.
+// readAllPayload reads one payload file fully through the dataset's FS
+// and the fault package's loop-to-fill, transient-retry transfer loop.
 func (d *Dataset) readAllPayload(name string, size int64) ([]byte, error) {
 	f, err := d.fs.Open(d.path(name))
 	if err != nil {
@@ -458,7 +416,7 @@ func (d *Dataset) readAllPayload(name string, size int64) ([]byte, error) {
 	}
 	defer f.Close()
 	buf := make([]byte, size)
-	if err := readFull(f, buf, 0, nil); err != nil {
+	if err := fault.ReadFullAt(f, buf, 0, nil); err != nil {
 		return nil, corrupt(name, "short read: %v", err)
 	}
 	return buf, nil
@@ -609,7 +567,7 @@ func (d *Dataset) Verify() error {
 				if rem < n {
 					n = rem
 				}
-				if err := readFull(f, buf[:n], off, nil); err != nil {
+				if err := fault.ReadFullAt(f, buf[:n], off, nil); err != nil {
 					return &CorruptError{Path: d.Man.Edges.Name, Bucket: [2]int{i, j},
 						Detail: fmt.Sprintf("truncated at byte %d: %v", off, err)}
 				}
@@ -635,17 +593,11 @@ func (d *Dataset) Verify() error {
 	return nil
 }
 
-// OpenDiskEdgeStore serves edge buckets from an existing bucket-sorted
-// file laid out exactly as CreateDiskEdgeStore writes it; counts gives
-// the p² bucket edge counts in BucketID order (the manifest's
-// BucketCounts). The file is opened read-only.
-func OpenDiskEdgeStore(path string, pt partition.Partitioning, counts []int64, throttle *Throttle) (*DiskEdgeStore, error) {
-	return OpenDiskEdgeStoreFS(nil, path, pt, counts, throttle)
-}
-
-// OpenDiskEdgeStoreFS is OpenDiskEdgeStore opening through fsys (nil
-// means the real filesystem).
-func OpenDiskEdgeStoreFS(fsys fault.FS, path string, pt partition.Partitioning, counts []int64, throttle *Throttle) (*DiskEdgeStore, error) {
+// openDiskEdgeStore serves edge buckets from an existing bucket-sorted
+// file laid out exactly as CreateDiskEdgeStore writes it, opened
+// read-only through fsys; counts gives the p² bucket edge counts in
+// BucketID order (the manifest's BucketCounts).
+func openDiskEdgeStore(fsys fault.FS, path string, pt partition.Partitioning, counts []int64, throttle *Throttle) (*DiskEdgeStore, error) {
 	p := pt.NumPartitions
 	if len(counts) != p*p {
 		return nil, fmt.Errorf("storage: %d bucket counts for %d partitions", len(counts), p)

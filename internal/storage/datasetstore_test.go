@@ -37,7 +37,7 @@ func prepNC(t *testing.T, parts int) string {
 // (its manifest checksums still verify).
 func TestDatasetNodeStoreRestoreAfterSnapshot(t *testing.T) {
 	dir := prepNC(t, 4)
-	ds, err := storage.OpenDataset(dir)
+	ds, err := storage.OpenDataset(nil, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestDatasetNodeStoreRestoreAfterSnapshot(t *testing.T) {
 // by value per the buffer-reuse contract.
 func TestDatasetEdgeStoreServesBuckets(t *testing.T) {
 	dir := prepNC(t, 4)
-	ds, err := storage.OpenDataset(dir)
+	ds, err := storage.OpenDataset(nil, dir)
 	if err != nil {
 		t.Fatal(err)
 	}

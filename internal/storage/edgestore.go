@@ -82,14 +82,9 @@ type DiskEdgeStore struct {
 	throttle *Throttle
 }
 
-// CreateDiskEdgeStore bucket-sorts edges into a file under dir.
-func CreateDiskEdgeStore(dir string, pt partition.Partitioning, edges []graph.Edge, throttle *Throttle) (*DiskEdgeStore, error) {
-	return CreateDiskEdgeStoreFS(nil, dir, pt, edges, throttle)
-}
-
-// CreateDiskEdgeStoreFS is CreateDiskEdgeStore opening through fsys
-// (nil means the real filesystem).
-func CreateDiskEdgeStoreFS(fsys fault.FS, dir string, pt partition.Partitioning, edges []graph.Edge, throttle *Throttle) (*DiskEdgeStore, error) {
+// CreateDiskEdgeStore bucket-sorts edges into a file under dir, writing
+// through fsys (nil means the real filesystem).
+func CreateDiskEdgeStore(fsys fault.FS, dir string, pt partition.Partitioning, edges []graph.Edge, throttle *Throttle) (*DiskEdgeStore, error) {
 	s := &DiskEdgeStore{pt: pt, throttle: throttle}
 	f, err := fault.Or(fsys).Create(filepath.Join(dir, "edges.bin"))
 	if err != nil {
@@ -102,7 +97,7 @@ func CreateDiskEdgeStoreFS(fsys fault.FS, dir string, pt partition.Partitioning,
 		offsets[b] = pos
 		buf := encodeEdges(bucket)
 		if len(buf) > 0 {
-			if err := writeFull(f, buf, pos*edgeBytes, &s.stats); err != nil {
+			if err := fault.WriteFullAt(f, buf, pos*edgeBytes, &s.stats.RetryStats); err != nil {
 				f.Close()
 				return nil, err
 			}
@@ -122,7 +117,7 @@ func (s *DiskEdgeStore) ReadBucket(i, j int, dst []graph.Edge) ([]graph.Edge, er
 		return dst, nil
 	}
 	buf := make([]byte, (end-start)*edgeBytes)
-	if err := readFull(s.f, buf, start*edgeBytes, &s.stats); err != nil {
+	if err := fault.ReadFullAt(s.f, buf, start*edgeBytes, &s.stats.RetryStats); err != nil {
 		return dst, fmt.Errorf("storage: read bucket (%d,%d): %w", i, j, err)
 	}
 	s.stats.BytesRead.Add(int64(len(buf)))

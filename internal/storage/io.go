@@ -38,12 +38,21 @@ type Stats struct {
 	// blocked waits on still-in-flight staged reads.
 	PrefetchHits   atomic.Int64
 	PrefetchMisses atomic.Int64
-	// Retries counts transient IO errors absorbed by the bounded-backoff
-	// retry loop; Gaveup counts operations that exhausted the retry
-	// budget and surfaced the error. Retries are never silent: both are
-	// exported as storage_io_retries_total / storage_io_gaveup_total.
-	Retries atomic.Int64
-	Gaveup  atomic.Int64
+	// RetryStats' Retries counts transient IO errors absorbed by the
+	// fault package's bounded-backoff transfer loop; Gaveup counts
+	// operations that exhausted the retry budget and surfaced the error.
+	// Retries are never silent: both are exported as
+	// storage_io_retries_total / storage_io_gaveup_total.
+	fault.RetryStats
+}
+
+// retries returns the store's retry counters for the transfer loop, or
+// nil for an uncounted (nil) Stats.
+func (s *Stats) retries() *fault.RetryStats {
+	if s == nil {
+		return nil
+	}
+	return &s.RetryStats
 }
 
 // Snapshot returns a plain-value copy of the counters.
@@ -128,112 +137,10 @@ func (t *Throttle) Wait(n int) {
 	}
 }
 
-// readerAt is the subset of *os.File the stores need, allowing tests to
-// substitute failing or in-memory implementations.
-type readerAt interface {
-	io.ReaderAt
-	io.WriterAt
-}
-
-// Bounded exponential backoff for transient IO errors (fault.IsTransient:
-// injected transients and EINTR-class errnos). retryMax attempts at
-// retryBase doubling gives ≈7.5ms of cumulative sleep in the worst case —
-// long enough to ride out an interrupted syscall or a throttling blip,
-// short enough that a genuinely dead disk surfaces within one partition
-// load. Deliberately package-level, not per-store: the policy is part of
-// the storage layer's contract, and every caller shares it.
-const (
-	retryMax  = 4
-	retryBase = 500 * time.Microsecond
-)
-
-// readFull reads len(p) bytes at off, looping to fill on short reads
-// (POSIX permits n < len(p) with nil error — EINTR-style partial IO)
-// and retrying transient errors with bounded exponential backoff. Any
-// forward progress resets the retry budget: only a *stalled* transient
-// gives up. Fatal errors surface immediately.
-func readFull(f io.ReaderAt, p []byte, off int64, st *Stats) error {
-	attempt := 0
-	for len(p) > 0 {
-		n, err := f.ReadAt(p, off)
-		p = p[n:]
-		off += int64(n)
-		if len(p) == 0 {
-			// Full fill; a ReaderAt at exact EOF may still report io.EOF.
-			return nil
-		}
-		if err == nil {
-			if n == 0 {
-				return io.ErrNoProgress
-			}
-			attempt = 0 // short read: loop to fill
-			continue
-		}
-		if n > 0 {
-			attempt = 0
-		}
-		if !fault.IsTransient(err) {
-			return err
-		}
-		if attempt >= retryMax {
-			if st != nil {
-				st.Gaveup.Add(1)
-			}
-			return err
-		}
-		if st != nil {
-			st.Retries.Add(1)
-		}
-		time.Sleep(retryBase << attempt)
-		attempt++
-	}
-	return nil
-}
-
-// writeFull writes all of p at off with the same loop-to-fill and
-// transient-retry discipline as readFull. Torn writes re-issue only the
-// unwritten tail, so a retried write never double-applies a prefix.
-func writeFull(f io.WriterAt, p []byte, off int64, st *Stats) error {
-	attempt := 0
-	for len(p) > 0 {
-		n, err := f.WriteAt(p, off)
-		p = p[n:]
-		off += int64(n)
-		if len(p) == 0 {
-			return nil
-		}
-		if err == nil {
-			if n == 0 {
-				return io.ErrNoProgress
-			}
-			attempt = 0
-			continue
-		}
-		if n > 0 {
-			attempt = 0
-		}
-		if !fault.IsTransient(err) {
-			return err
-		}
-		if attempt >= retryMax {
-			if st != nil {
-				st.Gaveup.Add(1)
-			}
-			return err
-		}
-		if st != nil {
-			st.Retries.Add(1)
-		}
-		time.Sleep(retryBase << attempt)
-		attempt++
-	}
-	return nil
-}
-
 // readFloats reads count float32 values at byte offset off into dst.
 func readFloats(f io.ReaderAt, off int64, dst []float32, st *Stats, th *Throttle) error {
 	buf := make([]byte, len(dst)*4)
-	if err := readFull(f, buf, off, st); err != nil {
+	if err := fault.ReadFullAt(f, buf, off, st.retries()); err != nil {
 		return err
 	}
 	for i := range dst {
@@ -251,7 +158,7 @@ func readFloats(f io.ReaderAt, off int64, dst []float32, st *Stats, th *Throttle
 // analog of readFloats for quantized tables, so stats and the throttle
 // account the bytes that actually cross the (simulated) device.
 func readBytes(f io.ReaderAt, off int64, dst []byte, st *Stats, th *Throttle) error {
-	if err := readFull(f, dst, off, st); err != nil {
+	if err := fault.ReadFullAt(f, dst, off, st.retries()); err != nil {
 		return err
 	}
 	if st != nil {
@@ -268,7 +175,7 @@ func writeFloats(f io.WriterAt, off int64, src []float32, st *Stats, th *Throttl
 	for i, v := range src {
 		binary.LittleEndian.PutUint32(buf[i*4:], math.Float32bits(v))
 	}
-	if err := writeFull(f, buf, off, st); err != nil {
+	if err := fault.WriteFullAt(f, buf, off, st.retries()); err != nil {
 		return err
 	}
 	if st != nil {

@@ -219,7 +219,7 @@ func TestEdgeStoreDiskMatchesMemory(t *testing.T) {
 		edges[i] = graph.Edge{Src: int32(rng.Intn(n)), Rel: int32(rng.Intn(3)), Dst: int32(rng.Intn(n))}
 	}
 	mem := NewMemoryEdgeStore(pt, edges)
-	disk, err := CreateDiskEdgeStore(dir, pt, edges, nil)
+	disk, err := CreateDiskEdgeStore(nil, dir, pt, edges, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestEdgeStoreStatsUnified(t *testing.T) {
 	for i := range edges {
 		edges[i] = graph.Edge{Src: int32(rng.Intn(n)), Dst: int32(rng.Intn(n))}
 	}
-	disk, err := CreateDiskEdgeStore(dir, pt, edges, nil)
+	disk, err := CreateDiskEdgeStore(nil, dir, pt, edges, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,7 +89,7 @@ func NewDiskSource(g *graph.Graph, pt partition.Partitioning, dim int, cfg DiskS
 	if err != nil {
 		return nil, err
 	}
-	edges, err := storage.CreateDiskEdgeStoreFS(cfg.FS, cfg.Dir, pt, g.Edges, cfg.Throttle)
+	edges, err := storage.CreateDiskEdgeStore(cfg.FS, cfg.Dir, pt, g.Edges, cfg.Throttle)
 	if err != nil {
 		nodes.Close()
 		return nil, err

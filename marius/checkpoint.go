@@ -59,7 +59,7 @@ func (s *Session) Save(path string) error {
 		}
 		cp.Table, cp.OptState = table.Data, state
 	}
-	return ckpt.WriteFS(s.opts.FS, path, cp)
+	return ckpt.Write(s.opts.FS, path, cp)
 }
 
 // restoreMismatch builds a Restore validation error that matches both
@@ -70,9 +70,11 @@ func restoreMismatch(field, format string, args ...any) error {
 	return fmt.Errorf("%w: %w", ErrTaskMismatch, ckpt.Mismatch(field, format, args...))
 }
 
-// Restore loads a checkpoint saved by Save into this session, which must
-// run the same task with the same model shape and seed over an identically
-// generated graph (construction is deterministic given the seed, so
+// Restore loads a checkpoint saved by Save into this session, reading it
+// through the session's filesystem (WithFaults; the real one by
+// default). The session must run the same task with the same model
+// shape and seed over an identically generated graph (construction is
+// deterministic given the seed, so
 // rebuilding with the same generator and options reproduces the same
 // layout). Shape disagreements are rejected up front with an error
 // matching ErrCheckpointMismatch that names the offending field (task,
@@ -82,7 +84,7 @@ func restoreMismatch(field, format string, args ...any) error {
 // taken, while the default multi-worker pipeline is nondeterministic by
 // design.
 func (s *Session) Restore(path string) error {
-	cp, err := ckpt.Read(path)
+	cp, err := ckpt.Read(s.opts.FS, path)
 	if err != nil {
 		return fmt.Errorf("marius: %w", err)
 	}

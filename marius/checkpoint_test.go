@@ -1,12 +1,15 @@
 package marius_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/gen"
 	"repro/marius"
 )
@@ -14,7 +17,7 @@ import (
 // lpSession builds an LP session over a freshly generated (identical)
 // graph; workers=1 keeps the batch order deterministic so resumed runs
 // reproduce the original trajectory exactly.
-func lpSession(t *testing.T, disk bool, dir string) *marius.Session {
+func lpSession(t *testing.T, disk bool, dir string, extra ...marius.Option) *marius.Session {
 	t.Helper()
 	g := gen.KG(gen.KGConfig{
 		NumEntities: 800, NumRelations: 8, NumEdges: 10000,
@@ -28,7 +31,7 @@ func lpSession(t *testing.T, disk bool, dir string) *marius.Session {
 	if disk {
 		opts = append(opts, marius.WithDisk(dir, marius.Partitions(8), marius.Capacity(4), marius.LogicalPartitions(4)))
 	}
-	sess, err := marius.New(marius.LinkPrediction(), g, opts...)
+	sess, err := marius.New(marius.LinkPrediction(), g, append(opts, extra...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,5 +200,72 @@ func TestRestoreMismatchNamesField(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "dim") {
 		t.Fatalf("error %q does not name the offending field", err)
+	}
+}
+
+// TestRestoreUnderIOWeather: Restore reads the checkpoint through the
+// session's WithFaults filesystem, and the read goes through the
+// retrying transfer loop, so a restore under seeded transient errors or
+// short reads lands exactly the state a clean restore does — the two
+// sessions re-save byte-identical checkpoints.
+func TestRestoreUnderIOWeather(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "lp.ckpt")
+	orig := lpSession(t, false, "")
+	if _, err := orig.Run(context.Background(), marius.Epochs(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := orig.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	orig.Close()
+
+	resave := func(sess *marius.Session, name string) []byte {
+		t.Helper()
+		out := filepath.Join(dir, name)
+		if err := sess.Save(out); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	clean := lpSession(t, false, "")
+	defer clean.Close()
+	if err := clean.Restore(path); err != nil {
+		t.Fatal(err)
+	}
+	want := resave(clean, "clean.ckpt")
+
+	for _, w := range []struct {
+		name string
+		cfg  fault.Config
+	}{
+		{"transient", fault.Config{Transient: 0.25}},
+		{"short", fault.Config{Short: 0.25}},
+	} {
+		// One whole-file read is a single injector decision, so several
+		// seeds make sure the weather actually hits the restore.
+		var fired int64
+		for seed := int64(1); seed <= 4; seed++ {
+			cfg := w.cfg
+			cfg.Seed = seed
+			inj := fault.NewInjector(nil, cfg)
+			sess := lpSession(t, false, "", marius.WithFaults(inj))
+			if err := sess.Restore(path); err != nil {
+				t.Fatalf("%s seed %d: restore: %v", w.name, seed, err)
+			}
+			tr, sh, _ := inj.Injected()
+			fired += tr + sh
+			if got := resave(sess, "weather.ckpt"); !bytes.Equal(got, want) {
+				t.Fatalf("%s seed %d: restored state differs from a clean restore", w.name, seed)
+			}
+			sess.Close()
+		}
+		if fired == 0 {
+			t.Fatalf("%s: no fault hit the restore in 4 seeds; the test proves nothing", w.name)
+		}
 	}
 }

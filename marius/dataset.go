@@ -54,7 +54,7 @@ func FromDataset(dir string, opts ...Option) (*Session, error) {
 			return nil, err
 		}
 	}
-	ds, err := storage.OpenDatasetFS(probe.FS, dir)
+	ds, err := storage.OpenDataset(probe.FS, dir)
 	if err != nil {
 		return nil, err
 	}

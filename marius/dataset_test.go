@@ -105,7 +105,7 @@ func TestFromDatasetNCDisk(t *testing.T) {
 	if _, err := sess.Evaluate(marius.TestSplit); err != nil {
 		t.Fatalf("evaluate: %v", err)
 	}
-	ds, err := storage.OpenDataset(dir)
+	ds, err := storage.OpenDataset(nil, dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,11 +57,13 @@
 //
 // # Fault tolerance
 //
-// The storage layer absorbs transient IO errors (EINTR/EAGAIN-class
-// errnos and injected faults) with a bounded-backoff retry loop and
-// loops short reads and writes to completion, so POSIX partial IO never
-// corrupts a partition or a checkpoint; retries are counted, never
-// silent (storage_io_retries_total). Failed asynchronous evict
+// Every file transfer — partitions, edge buckets, dataset payloads,
+// ingest output, checkpoints and journals — goes through one transfer
+// loop in internal/fault, which absorbs transient IO errors
+// (EINTR/EAGAIN-class errnos and injected faults) with bounded backoff
+// and loops short reads and writes to completion, so POSIX partial IO
+// never corrupts a partition, a dataset or a checkpoint; storage retries
+// are counted, never silent (storage_io_retries_total). Failed asynchronous evict
 // write-backs are retained in memory, surface as errors on the training
 // path, and are re-issued by Flush once the disk recovers — a full disk
 // fails the epoch loudly instead of silently dropping updates.

@@ -490,11 +490,13 @@ func WithSeed(s int64) Option {
 }
 
 // WithFaults routes the session's file IO — dataset reads, the disk-mode
-// node and edge stores, checkpoints and run journals — through fsys,
-// typically a fault.Injector, so robustness tests can subject a real
-// training run to seeded transient errors, short IO, ENOSPC and
-// hard crashes. A nil fsys restores the default (the real filesystem,
-// with no wrapping and no overhead).
+// node and edge stores, checkpoint writes (Save) and reads (Restore),
+// and run journals — through fsys, typically a fault.Injector, so
+// robustness tests can subject a real training run to seeded transient
+// errors, short IO, ENOSPC and hard crashes. Every one of those
+// transfers goes through internal/fault's retrying transfer loop, which
+// absorbs transients and short IO. A nil fsys restores the default (the
+// real filesystem, with no wrapping and no overhead).
 func WithFaults(fsys fault.FS) Option {
 	return func(o *Options) error {
 		o.FS = fsys

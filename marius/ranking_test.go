@@ -136,7 +136,7 @@ func TestSessionRankingMatchesBruteForce(t *testing.T) {
 			if err := sess.Save(path); err != nil {
 				t.Fatal(err)
 			}
-			cp, err := ckpt.Read(path)
+			cp, err := ckpt.Read(nil, path)
 			if err != nil {
 				t.Fatal(err)
 			}
