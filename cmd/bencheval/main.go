@@ -5,8 +5,8 @@
 // per second against the full entity set — and the fused candidate-scoring
 // kernel on its own (candidate scores per second through ScoreAll).
 //
-//	go run ./cmd/bencheval                   # full size
-//	go run ./cmd/bencheval -short -check     # CI: small size, enforce gates
+//	make bench-eval                   # CI: -short -check, report to /tmp
+//	go run ./cmd/bencheval -check     # full size: the checked-in baseline
 //
 // -check enforces the evaluation contract: MRR and Hits@k must be bitwise
 // identical across worker counts, batch sizes and candidate-chunk widths;
@@ -17,14 +17,13 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"log"
 	"math/rand"
-	"os"
-	"runtime"
 	"time"
 
+	"repro/internal/benchkit"
 	"repro/internal/decoder"
 	"repro/internal/eval"
 	"repro/internal/gen"
@@ -35,14 +34,11 @@ import (
 
 // Report is the schema of BENCH_eval.json.
 type Report struct {
-	Schema     int       `json:"schema"`
-	Go         string    `json:"go"`
-	GoMaxProcs int       `json:"gomaxprocs"`
-	Short      bool      `json:"short"`
-	Config     Config    `json:"config"`
-	Ranking    []RankPt  `json:"ranking"`
-	Scoring    []ScorePt `json:"scoring"`
-	Summary    Summary   `json:"summary"`
+	benchkit.Header
+	Config  Config    `json:"config"`
+	Ranking []RankPt  `json:"ranking"`
+	Scoring []ScorePt `json:"scoring"`
+	Summary Summary   `json:"summary"`
 }
 
 // Config records the benchmark workload.
@@ -101,16 +97,14 @@ const (
 )
 
 func main() {
-	out := flag.String("o", "BENCH_eval.json", "output JSON path")
-	short := flag.Bool("short", false, "small graph for CI")
-	check := flag.Bool("check", false, "enforce gates (bit-reproducibility, fused-vs-reference equality, throughput floors)")
+	run := benchkit.New("eval", "enforce gates (bit-reproducibility, fused-vs-reference equality, throughput floors)")
 	flag.Parse()
 
 	cfg := Config{Entities: 10000, Relations: 16, Edges: 120000, Dim: 32, Seed: 7}
-	if *short {
+	if run.Short {
 		cfg.Entities, cfg.Edges, cfg.Dim = 2000, 20000, 16
 	}
-	rep := Report{Schema: 1, Go: runtime.Version(), GoMaxProcs: runtime.GOMAXPROCS(0), Short: *short, Config: cfg}
+	rep := Report{Header: run.Header(), Config: cfg}
 	sum := &rep.Summary
 	sum.BitReproducible, sum.FusedMatchesRef, sum.FilteredGeRaw = true, true, true
 	sum.MinRankQPS, sum.MinScoresPS = 1e18, 1e18
@@ -134,7 +128,7 @@ func main() {
 	workerSweep := []int{1, 4}
 	for _, kind := range kinds {
 		dec, err := decoder.New(kind, nn.NewParamSet(), g.NumRels, cfg.Dim, rand.New(rand.NewSource(cfg.Seed+1)))
-		must(err)
+		benchkit.Must(err)
 		rel := dec.RelParam().Value
 
 		base := eval.RankingConfig{Dec: dec, Rel: rel, Table: table, Ks: []int{1, 10}, Filter: filter}
@@ -153,7 +147,7 @@ func main() {
 				r := pt
 				ref = &r
 			} else if pt.MRR != ref.MRR || pt.Hits1 != ref.Hits1 || pt.Hits10 != ref.Hits10 {
-				fmt.Fprintf(os.Stderr, "bencheval: %s workers=%d diverges from workers=%d\n", kind, w, workerSweep[0])
+				log.Printf("%s workers=%d diverges from workers=%d", kind, w, workerSweep[0])
 				sum.BitReproducible = false
 			}
 		}
@@ -163,7 +157,7 @@ func main() {
 		rawPt := timeRanking(kind, raw, g.ValidEdges, false)
 		rep.Ranking = append(rep.Ranking, rawPt)
 		if ref.MRR < rawPt.MRR {
-			fmt.Fprintf(os.Stderr, "bencheval: %s filtered MRR %.6f under raw %.6f\n", kind, ref.MRR, rawPt.MRR)
+			log.Printf("%s filtered MRR %.6f under raw %.6f", kind, ref.MRR, rawPt.MRR)
 			sum.FilteredGeRaw = false
 		}
 
@@ -173,7 +167,7 @@ func main() {
 		odd.Workers, odd.BatchSize, odd.Chunk = 3, 17, 511
 		or := eval.Ranking(odd, g.ValidEdges)
 		if or.MRR != ref.MRR || or.Hits[1] != ref.Hits1 || or.Hits[10] != ref.Hits10 {
-			fmt.Fprintf(os.Stderr, "bencheval: %s batch=17 chunk=511 diverges\n", kind)
+			log.Printf("%s batch=17 chunk=511 diverges", kind)
 			sum.BitReproducible = false
 		}
 
@@ -186,7 +180,7 @@ func main() {
 			scores := decoder.ScoreAll(dec, table.Row(int(e.Src)), rel.Row(int(e.Rel)), table)
 			want := decoder.RefScore(kind, table.Row(int(e.Src)), rel.Row(int(e.Rel)), table.Row(int(e.Dst)))
 			if scores[e.Dst] != want {
-				fmt.Fprintf(os.Stderr, "bencheval: %s fused score %g != reference %g\n", kind, scores[e.Dst], want)
+				log.Printf("%s fused score %g != reference %g", kind, scores[e.Dst], want)
 				sum.FusedMatchesRef = false
 				break
 			}
@@ -195,7 +189,7 @@ func main() {
 		// Kernel-only scoring rate: full-table ScoreAll per source, the
 		// serving top-k hot path.
 		iters := 200
-		if *short {
+		if run.Short {
 			iters = 100
 		}
 		start := time.Now()
@@ -209,9 +203,7 @@ func main() {
 		sum.MinScoresPS = min(sum.MinScoresPS, ps)
 	}
 
-	buf, err := json.MarshalIndent(&rep, "", "  ")
-	must(err)
-	must(os.WriteFile(*out, append(buf, '\n'), 0o644))
+	run.Write(&rep)
 	for _, pt := range rep.Ranking {
 		proto := "raw     "
 		if pt.Filtered {
@@ -224,24 +216,12 @@ func main() {
 		fmt.Printf("score %-8s %14.0f scores/s\n", pt.Decoder, pt.ScoresPerSec)
 	}
 
-	if *check {
-		if !sum.BitReproducible {
-			fail("ranking results vary with worker count, batch size or chunk width")
-		}
-		if !sum.FusedMatchesRef {
-			fail("fused scoring diverges from the scalar reference")
-		}
-		if !sum.FilteredGeRaw {
-			fail("filtered MRR fell below raw MRR")
-		}
-		if sum.MinRankQPS < rankFloorQPS {
-			fail("ranking throughput %.0f q/s under the %d floor", sum.MinRankQPS, rankFloorQPS)
-		}
-		if sum.MinScoresPS < scoreFloorPS {
-			fail("scoring throughput %.0f/s under the %.0f floor", sum.MinScoresPS, scoreFloorPS)
-		}
-		fmt.Println("check: all evaluation gates passed")
-	}
+	run.Gate(sum.BitReproducible, "ranking results vary with worker count, batch size or chunk width")
+	run.Gate(sum.FusedMatchesRef, "fused scoring diverges from the scalar reference")
+	run.Gate(sum.FilteredGeRaw, "filtered MRR fell below raw MRR")
+	run.Gate(sum.MinRankQPS >= rankFloorQPS, "ranking throughput %.0f q/s under the %d floor", sum.MinRankQPS, rankFloorQPS)
+	run.Gate(sum.MinScoresPS >= scoreFloorPS, "scoring throughput %.0f/s under the %.0f floor", sum.MinScoresPS, scoreFloorPS)
+	run.Done()
 }
 
 func timeRanking(kind string, cfg eval.RankingConfig, edges []graph.Edge, filtered bool) RankPt {
@@ -253,16 +233,4 @@ func timeRanking(kind string, cfg eval.RankingConfig, edges []graph.Edge, filter
 		Queries: res.Ranked, QPS: float64(res.Ranked) / dur,
 		MRR: res.MRR, Hits1: res.Hits[1], Hits10: res.Hits[10],
 	}
-}
-
-func must(err error) {
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bencheval: %v\n", err)
-		os.Exit(1)
-	}
-}
-
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "bencheval: CHECK FAILED: "+format+"\n", args...)
-	os.Exit(1)
 }

@@ -3,8 +3,8 @@
 // training, crash/resume, and serving — under seeded fault schedules and
 // emits BENCH_fault.json, the repo's robustness baseline.
 //
-//	go run ./cmd/benchfault                   # full size
-//	go run ./cmd/benchfault -short -check     # CI: small size, enforce gates
+//	make bench-fault                 # CI: -short -check, report to /tmp
+//	go run ./cmd/benchfault -check   # full size: the checked-in baseline
 //
 // Five phases, each a differential against the no-fault behavior:
 //
@@ -27,29 +27,32 @@
 //     contained (HTTP 500, counter bumped), with the very next request
 //     served normally by the same process.
 //
-// -check enforces all of the above as hard gates and exits nonzero on
-// the first violation.
+// -check enforces all of the above as hard gates. The injector decides
+// each op from its seed and the op's (file, offset, attempt), whatever
+// the goroutine interleaving, but the weather counts it reports can
+// still differ between runs: the set of disk ops is itself timing
+// dependent (a partition re-admitted while its write-back is in flight
+// is copied from the write buffer instead of re-read).
 package main
 
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"math"
+	"log"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/benchkit"
 	"repro/internal/dataset"
 	"repro/internal/fault"
 	"repro/internal/gen"
@@ -60,16 +63,13 @@ import (
 
 // Report is the schema of BENCH_fault.json.
 type Report struct {
-	Schema     int           `json:"schema"`
-	Go         string        `json:"go"`
-	GoMaxProcs int           `json:"gomaxprocs"`
-	Short      bool          `json:"short"`
-	Config     Config        `json:"config"`
-	Ingest     IngestPhase   `json:"ingest_crash"`
-	Weather    WeatherPhase  `json:"transient_weather"`
-	Crash      CrashPhase    `json:"crash_resume"`
-	Overload   OverloadPhase `json:"serve_overload"`
-	Panic      PanicPhase    `json:"serve_panic"`
+	benchkit.Header
+	Config   Config        `json:"config"`
+	Ingest   IngestPhase   `json:"ingest_crash"`
+	Weather  WeatherPhase  `json:"transient_weather"`
+	Crash    CrashPhase    `json:"crash_resume"`
+	Overload OverloadPhase `json:"serve_overload"`
+	Panic    PanicPhase    `json:"serve_panic"`
 }
 
 // Config records the chaos workload: link prediction over a disk-mode
@@ -133,19 +133,17 @@ type PanicPhase struct {
 }
 
 func main() {
-	out := flag.String("o", "BENCH_fault.json", "output JSON path")
-	short := flag.Bool("short", false, "small graphs for CI")
-	check := flag.Bool("check", false, "enforce gates (recovery differentials, shed/deadline/panic behavior)")
+	run := benchkit.New("fault", "enforce gates (recovery differentials, shed/deadline/panic behavior)")
 	flag.Parse()
 
 	cfg := Config{Entities: 600, Edges: 6000, Dim: 8, Parts: 4, Epochs: 3, Burst: 64, Seed: 11}
-	if *short {
+	if run.Short {
 		cfg.Entities, cfg.Edges, cfg.Epochs, cfg.Burst = 400, 3000, 2, 32
 	}
-	rep := Report{Schema: 1, Go: runtime.Version(), GoMaxProcs: runtime.GOMAXPROCS(0), Short: *short, Config: cfg}
+	rep := Report{Header: run.Header(), Config: cfg}
 
 	work, err := os.MkdirTemp("", "benchfault-")
-	must(err)
+	benchkit.Must(err)
 	defer os.RemoveAll(work)
 
 	// One raw export feeds every ingest in the run, so ingest outputs are
@@ -155,12 +153,12 @@ func main() {
 		ZipfS: 1.2, ValidFrac: 0.05, TestFrac: 0.05, Seed: 13,
 	})
 	exp, err := dataset.Export(g, filepath.Join(work, "raw"), "tsv")
-	must(err)
+	benchkit.Must(err)
 	mkIngest := func(out string) dataset.Config { return exp.Config(out, "lp", cfg.Seed, cfg.Parts) }
 
 	cleanData := filepath.Join(work, "data")
 	_, err = dataset.Ingest(mkIngest(cleanData))
-	must(err)
+	benchkit.Must(err)
 
 	fmt.Println("phase 1/5: ingest crash + forced re-ingest")
 	rep.Ingest = ingestPhase(work, mkIngest, cleanData)
@@ -182,9 +180,7 @@ func main() {
 	fmt.Println("phase 5/5: serve panic containment")
 	rep.Panic = panicPhase(cleanData, ref.ckptPath, cfg)
 
-	buf, err := json.MarshalIndent(&rep, "", "  ")
-	must(err)
-	must(os.WriteFile(*out, append(buf, '\n'), 0o644))
+	run.Write(&rep)
 
 	fmt.Printf("ingest:   crash surfaced %v, refused w/o force %v, force matches clean %v\n",
 		rep.Ingest.CrashSurfaced, rep.Ingest.RefusedWithoutForce, rep.Ingest.ForceMatchesClean)
@@ -198,72 +194,40 @@ func main() {
 	fmt.Printf("panic:    poisoned request -> %d, %d recovered, next request -> %d\n",
 		rep.Panic.FirstStatus, rep.Panic.PanicsRecovered, rep.Panic.RecoveredStatus)
 
-	if *check {
-		enforce(&rep)
-	}
+	enforce(run, &rep)
+	run.Done()
 }
 
-func enforce(rep *Report) {
+func enforce(run *benchkit.Run, rep *Report) {
 	in := rep.Ingest
-	if !in.CrashSurfaced || !in.ManifestAbsent || !in.OpenRejected {
-		fail("crashed ingest did not surface cleanly (surfaced %v, manifest absent %v, open rejected %v)",
-			in.CrashSurfaced, in.ManifestAbsent, in.OpenRejected)
-	}
-	if !in.RefusedWithoutForce {
-		fail("re-ingest over partial output was not refused with ErrPartialOutput")
-	}
-	if !in.ForceMatchesClean {
-		fail("forced re-ingest does not match the clean ingest byte for byte")
-	}
-	if in.OrphansAfter != 0 {
-		fail("%d orphaned temp files survive the forced re-ingest", in.OrphansAfter)
-	}
+	run.Gate(in.CrashSurfaced && in.ManifestAbsent && in.OpenRejected,
+		"crashed ingest did not surface cleanly (surfaced %v, manifest absent %v, open rejected %v)",
+		in.CrashSurfaced, in.ManifestAbsent, in.OpenRejected)
+	run.Gate(in.RefusedWithoutForce, "re-ingest over partial output was not refused with ErrPartialOutput")
+	run.Gate(in.ForceMatchesClean, "forced re-ingest does not match the clean ingest byte for byte")
+	run.Gate(in.OrphansAfter == 0, "%d orphaned temp files survive the forced re-ingest", in.OrphansAfter)
 	w := rep.Weather
-	if w.Transients+w.Shorts == 0 {
-		fail("weather run injected no faults; the phase measured nothing")
-	}
-	if w.Retries == 0 {
-		fail("weather run absorbed no retries despite %d injected transients", w.Transients)
-	}
-	if !w.LossesMatch || !w.CkptMatches {
-		fail("training under IO weather diverged from the clean run (losses match %v, ckpt match %v)",
-			w.LossesMatch, w.CkptMatches)
-	}
+	run.Gate(w.Transients+w.Shorts > 0, "weather run injected no faults; the phase measured nothing")
+	run.Gate(w.Retries > 0, "weather run absorbed no retries despite %d injected transients", w.Transients)
+	run.Gate(w.LossesMatch && w.CkptMatches,
+		"training under IO weather diverged from the clean run (losses match %v, ckpt match %v)",
+		w.LossesMatch, w.CkptMatches)
 	c := rep.Crash
-	if !c.LossesMatch || !c.CkptMatches {
-		fail("crash at write %d/%d + resume diverged from the uninterrupted run (losses match %v, ckpt match %v)",
-			c.KillAtWrite, c.TotalWrites, c.LossesMatch, c.CkptMatches)
-	}
+	run.Gate(c.LossesMatch && c.CkptMatches,
+		"crash at write %d/%d + resume diverged from the uninterrupted run (losses match %v, ckpt match %v)",
+		c.KillAtWrite, c.TotalWrites, c.LossesMatch, c.CkptMatches)
 	o := rep.Overload
-	if o.Shed == 0 {
-		fail("overloaded server shed nothing")
-	}
-	if o.ShedMS > 1000 {
-		fail("slowest shed took %.1fms; shedding must not queue behind the stall", o.ShedMS)
-	}
-	if o.HTTPStatus != http.StatusServiceUnavailable || !o.RetryAfter {
-		fail("overloaded HTTP response was %d (retry-after %v), want 503 with Retry-After", o.HTTPStatus, o.RetryAfter)
-	}
-	if o.DeadlineExpired == 0 {
-		fail("no admitted request expired at its deadline under the stall")
-	}
-	if !o.DegradedWhile {
-		fail("/healthz did not degrade under sustained shedding")
-	}
-	if !o.Recovered {
-		fail("server did not recover to healthy after the stall cleared")
-	}
+	run.Gate(o.Shed > 0, "overloaded server shed nothing")
+	run.Gate(o.ShedMS <= 1000, "slowest shed took %.1fms; shedding must not queue behind the stall", o.ShedMS)
+	run.Gate(o.HTTPStatus == http.StatusServiceUnavailable && o.RetryAfter,
+		"overloaded HTTP response was %d (retry-after %v), want 503 with Retry-After", o.HTTPStatus, o.RetryAfter)
+	run.Gate(o.DeadlineExpired > 0, "no admitted request expired at its deadline under the stall")
+	run.Gate(o.DegradedWhile, "/healthz did not degrade under sustained shedding")
+	run.Gate(o.Recovered, "server did not recover to healthy after the stall cleared")
 	p := rep.Panic
-	if p.FirstStatus != http.StatusInternalServerError {
-		fail("poisoned request returned %d, want 500", p.FirstStatus)
-	}
-	if p.PanicsRecovered != 1 {
-		fail("panics_recovered = %d, want exactly 1", p.PanicsRecovered)
-	}
-	if p.RecoveredStatus != http.StatusOK {
-		fail("request after the contained panic returned %d, want 200", p.RecoveredStatus)
-	}
-	fmt.Println("check: all fault gates passed")
+	run.Gate(p.FirstStatus == http.StatusInternalServerError, "poisoned request returned %d, want 500", p.FirstStatus)
+	run.Gate(p.PanicsRecovered == 1, "panics_recovered = %d, want exactly 1", p.PanicsRecovered)
+	run.Gate(p.RecoveredStatus == http.StatusOK, "request after the contained panic returned %d, want 200", p.RecoveredStatus)
 }
 
 // ingestPhase crashes a prep mid-write and walks the recovery path:
@@ -271,7 +235,7 @@ func enforce(rep *Report) {
 func ingestPhase(work string, mkIngest func(string) dataset.Config, cleanDir string) IngestPhase {
 	var ph IngestPhase
 	crashDir := filepath.Join(work, "data-crashed")
-	must(os.MkdirAll(crashDir, 0o755))
+	benchkit.Must(os.MkdirAll(crashDir, 0o755))
 
 	crashed := mkIngest(crashDir)
 	crashed.FS = fault.NewInjector(nil, fault.Config{Seed: 17, CrashAfterWrites: 3})
@@ -334,7 +298,7 @@ type refResult struct {
 func refRun(work, dataDir string, cfg Config) refResult {
 	counter := fault.NewInjector(fault.OS, fault.Config{Seed: 1})
 	ckptDir := filepath.Join(work, "ref-ckpt")
-	must(os.MkdirAll(ckptDir, 0o755))
+	benchkit.Must(os.MkdirAll(ckptDir, 0o755))
 	res := runCkpt(dataDir, filepath.Join(work, "ref-work"), ckptDir, cfg, counter, nil)
 	ref := refResult{
 		losses:      losses(res),
@@ -342,10 +306,10 @@ func refRun(work, dataDir string, cfg Config) refResult {
 		totalWrites: counter.Writes(),
 	}
 	raw, err := os.ReadFile(ref.ckptPath)
-	must(err)
+	benchkit.Must(err)
 	ref.ckptBytes = raw
 	if ref.totalWrites == 0 {
-		fail("reference run performed no writes; crash points are meaningless")
+		log.Fatal("reference run performed no writes; crash points are meaningless")
 	}
 	return ref
 }
@@ -353,20 +317,20 @@ func refRun(work, dataDir string, cfg Config) refResult {
 // runCkpt trains a full checkpointed run through fsys, reporting storage
 // retry counters through stats if non-nil.
 func runCkpt(dataDir, workDir, ckptDir string, cfg Config, fsys fault.FS, stats *storage.StatsSnapshot) *marius.RunResult {
-	must(os.MkdirAll(workDir, 0o755))
+	benchkit.Must(os.MkdirAll(workDir, 0o755))
 	opts := trainOpts(workDir, cfg)
 	if fsys != nil {
 		opts = append(opts, marius.WithFaults(fsys))
 	}
 	sess, err := marius.FromDataset(dataDir, opts...)
-	must(err)
+	benchkit.Must(err)
 	defer sess.Close()
 	res, err := sess.Run(context.Background(),
 		marius.Epochs(cfg.Epochs), marius.CheckpointTo(filepath.Join(ckptDir, "run.ckpt"), 1))
 	if stats != nil {
 		*stats = ioStats(sess)
 	}
-	must(err)
+	benchkit.Must(err)
 	return res
 }
 
@@ -393,18 +357,6 @@ func losses(res *marius.RunResult) []float64 {
 	return out
 }
 
-func sameLosses(got, want []float64) bool {
-	if len(got) != len(want) {
-		return false
-	}
-	for i := range want {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // weatherPhase trains through random transient failures and short IO;
 // the retry loops must absorb every blip without changing a single bit
 // of the training trajectory.
@@ -414,16 +366,16 @@ func weatherPhase(work, dataDir string, cfg Config, ref refResult) WeatherPhase 
 		Latency: 100 * time.Microsecond, LatencyRate: 0.002,
 	})
 	ckptDir := filepath.Join(work, "weather-ckpt")
-	must(os.MkdirAll(ckptDir, 0o755))
+	benchkit.Must(os.MkdirAll(ckptDir, 0o755))
 	var st storage.StatsSnapshot
 	res := runCkpt(dataDir, filepath.Join(work, "weather-work"), ckptDir, cfg, inj, &st)
 
 	var ph WeatherPhase
 	ph.Transients, ph.Shorts, _ = inj.Injected()
 	ph.Retries, ph.Gaveup = st.Retries, st.Gaveup
-	ph.LossesMatch = sameLosses(losses(res), ref.losses)
+	ph.LossesMatch = benchkit.SameBits(losses(res), ref.losses)
 	raw, err := os.ReadFile(filepath.Join(ckptDir, "run.ckpt"))
-	must(err)
+	benchkit.Must(err)
 	ph.CkptMatches = bytes.Equal(raw, ref.ckptBytes)
 	return ph
 }
@@ -440,8 +392,8 @@ func crashPhase(work, dataDir string, cfg Config, ref refResult) CrashPhase {
 
 	ckptDir := filepath.Join(work, "crash-ckpt")
 	workDir := filepath.Join(work, "crash-work")
-	must(os.MkdirAll(ckptDir, 0o755))
-	must(os.MkdirAll(workDir, 0o755))
+	benchkit.Must(os.MkdirAll(ckptDir, 0o755))
+	benchkit.Must(os.MkdirAll(workDir, 0o755))
 	inj := fault.NewInjector(nil, fault.Config{Seed: 2, CrashAfterWrites: ph.KillAtWrite})
 
 	// The "process" that gets killed.
@@ -457,7 +409,7 @@ func crashPhase(work, dataDir string, cfg Config, ref refResult) CrashPhase {
 		return err
 	}()
 	if err == nil || !inj.Crashed() {
-		fail("kill after %d/%d writes: run did not crash (err %v)", ph.KillAtWrite, ph.TotalWrites, err)
+		log.Fatalf("kill after %d/%d writes: run did not crash (err %v)", ph.KillAtWrite, ph.TotalWrites, err)
 	}
 
 	// Restart. If the crash predates all durable state there is no
@@ -468,15 +420,15 @@ func crashPhase(work, dataDir string, cfg Config, ref refResult) CrashPhase {
 	case errors.Is(err, marius.ErrNoJournal):
 		res = runCkpt(dataDir, workDir, ckptDir, cfg, nil, nil)
 	case err != nil:
-		fail("resume after kill at write %d: %v", ph.KillAtWrite, err)
+		log.Fatalf("resume after kill at write %d: %v", ph.KillAtWrite, err)
 	default:
 		ph.Resumed = true
 		defer sess.Close()
 	}
 
-	ph.LossesMatch = sameLosses(losses(res), ref.losses)
+	ph.LossesMatch = benchkit.SameBits(losses(res), ref.losses)
 	raw, err := os.ReadFile(filepath.Join(ckptDir, "run.ckpt"))
-	must(err)
+	benchkit.Must(err)
 	ph.CkptMatches = bytes.Equal(raw, ref.ckptBytes)
 	return ph
 }
@@ -492,12 +444,13 @@ func overloadPhase(dataDir, ckptPath string, cfg Config) OverloadPhase {
 	unstall := func() { once.Do(func() { close(gate) }) }
 	defer unstall()
 
-	scfg := serve.Config{
+	scfg := marius.ServeConfig{
 		MaxBatch: 1, MaxWait: time.Millisecond, QueueCap: 1, Workers: 1,
 		Seed: cfg.Seed, InMemory: true, RequestTimeout: 100 * time.Millisecond,
-		Hooks: &serve.Hooks{BeforeBatch: func(int) { <-gate }},
+		Hooks: &marius.ServeHooks{BeforeBatch: func(int) { <-gate }},
 	}
-	srv := openServer(dataDir, ckptPath, scfg)
+	srv, err := marius.LoadForInference(dataDir, ckptPath, scfg)
+	benchkit.Must(err)
 	defer srv.Close()
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
@@ -530,7 +483,7 @@ func overloadPhase(dataDir, ckptPath string, cfg Config) OverloadPhase {
 			ph.ShedMS = ms
 		}
 		if !errors.Is(err, serve.ErrOverloaded) {
-			fail("burst request %d: got %v, want ErrOverloaded", i, err)
+			log.Fatalf("burst request %d: got %v, want ErrOverloaded", i, err)
 		}
 	}
 	ok, reason := srv.Health()
@@ -538,7 +491,7 @@ func overloadPhase(dataDir, ckptPath string, cfg Config) OverloadPhase {
 
 	resp, err := http.Post(hs.URL+"/v1/topk", "application/json",
 		strings.NewReader(`{"src":0,"rel":0,"k":5}`))
-	must(err)
+	benchkit.Must(err)
 	resp.Body.Close()
 	ph.HTTPStatus = resp.StatusCode
 	ph.RetryAfter = resp.Header.Get("Retry-After") != ""
@@ -548,7 +501,7 @@ func overloadPhase(dataDir, ckptPath string, cfg Config) OverloadPhase {
 	ph.Shed = st.Shed
 	ph.DeadlineExpired = st.DeadlineExpired
 	if expired.Load() != 2 {
-		fail("admitted requests under stall: %d expired, want 2", expired.Load())
+		log.Fatalf("admitted requests under stall: %d expired, want 2", expired.Load())
 	}
 
 	// Stall clears; the same process serves again and reports healthy.
@@ -576,22 +529,23 @@ func waitFull(srv *serve.Server) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	fail("queue never filled behind the stalled dispatcher")
+	log.Fatal("queue never filled behind the stalled dispatcher")
 }
 
 // panicPhase poisons exactly one dispatch with a panic; the server must
 // contain it (500, counter bumped) and serve the next request normally.
 func panicPhase(dataDir, ckptPath string, cfg Config) PanicPhase {
 	var poison atomic.Bool
-	scfg := serve.Config{
+	scfg := marius.ServeConfig{
 		MaxBatch: 8, MaxWait: time.Millisecond, Workers: 2, Seed: cfg.Seed, InMemory: true,
-		Hooks: &serve.Hooks{BeforeBatch: func(int) {
+		Hooks: &marius.ServeHooks{BeforeBatch: func(int) {
 			if poison.CompareAndSwap(true, false) {
 				panic("benchfault: injected dispatcher panic")
 			}
 		}},
 	}
-	srv := openServer(dataDir, ckptPath, scfg)
+	srv, err := marius.LoadForInference(dataDir, ckptPath, scfg)
+	benchkit.Must(err)
 	defer srv.Close()
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
@@ -599,7 +553,7 @@ func panicPhase(dataDir, ckptPath string, cfg Config) PanicPhase {
 	post := func() int {
 		resp, err := http.Post(hs.URL+"/v1/topk", "application/json",
 			strings.NewReader(`{"src":0,"rel":0,"k":5}`))
-		must(err)
+		benchkit.Must(err)
 		resp.Body.Close()
 		return resp.StatusCode
 	}
@@ -610,24 +564,4 @@ func panicPhase(dataDir, ckptPath string, cfg Config) PanicPhase {
 	ph.PanicsRecovered = srv.Statz().PanicsRecovered
 	ph.RecoveredStatus = post()
 	return ph
-}
-
-func openServer(dir, ckpt string, cfg serve.Config) *serve.Server {
-	sctx, err := serve.Open(dir, cfg)
-	must(err)
-	snap, err := serve.Load(sctx, ckpt, cfg)
-	must(err)
-	return serve.New(sctx, snap, cfg)
-}
-
-func must(err error) {
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchfault: %v\n", err)
-		os.Exit(1)
-	}
-}
-
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "benchfault: CHECK FAILED: "+format+"\n", args...)
-	os.Exit(1)
 }

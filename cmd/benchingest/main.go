@@ -6,29 +6,32 @@
 // sort, integrity-validated, and then trained with the pipelined COMET
 // out-of-core configuration straight from the prepared directory.
 //
-//	go run ./cmd/benchingest                  # full size
-//	go run ./cmd/benchingest -short -check    # CI: small size, enforce gates
+//	make bench-ingest                 # CI: -short -check, report to /tmp
+//	go run ./cmd/benchingest -check   # full size: the checked-in baseline
 //
 // -check enforces the ingestion contract: the external sort must spill
 // (>= 2 runs) while its peak working set stays under the cap, validation
 // must pass, and the pipelined dataset run's per-epoch losses and final
 // checkpoint must be byte-identical to a serial session trained on the
 // equivalent in-memory graph at the same seed — ingestion is exact, not
-// approximate.
+// approximate. The quantized-ingest differential rides along: an
+// fp16-prepared NC dataset must train bit-identically at 1 and 4
+// workers, serve identical predictions from disk-paged and in-memory
+// feature stores, and land within 5% of the float32 final loss.
 package main
 
 import (
 	"bytes"
 	"context"
 	"encoding/gob"
-	"encoding/json"
 	"flag"
 	"fmt"
+	"log"
 	"os"
 	"path/filepath"
-	"runtime"
 	"time"
 
+	"repro/internal/benchkit"
 	"repro/internal/ckpt"
 	"repro/internal/dataset"
 	"repro/internal/gen"
@@ -38,16 +41,13 @@ import (
 
 // Report is the schema of BENCH_ingest.json.
 type Report struct {
-	Schema     int     `json:"schema"`
-	Go         string  `json:"go"`
-	GoMaxProcs int     `json:"gomaxprocs"`
-	Short      bool    `json:"short"`
-	Config     Config  `json:"config"`
-	Ingest     Ingest  `json:"ingest"`
-	Reference  RunStat `json:"reference_inmemory_serial"`
-	Dataset    RunStat `json:"dataset_pipelined"`
-	Summary    Summary `json:"summary"`
-	Quant      Quant   `json:"quantized_nc"`
+	benchkit.Header
+	Config    Config  `json:"config"`
+	Ingest    Ingest  `json:"ingest"`
+	Reference RunStat `json:"reference_inmemory_serial"`
+	Dataset   RunStat `json:"dataset_pipelined"`
+	Summary   Summary `json:"summary"`
+	Quant     Quant   `json:"quantized_nc"`
 }
 
 // Quant is the quantized-ingest differential: the same raw NC export
@@ -119,9 +119,7 @@ type Summary struct {
 }
 
 func main() {
-	out := flag.String("o", "BENCH_ingest.json", "output JSON path")
-	short := flag.Bool("short", false, "small dataset for CI")
-	check := flag.Bool("check", false, "enforce gates (>=2 spill runs under the cap, exact loss and checkpoint equivalence)")
+	run := benchkit.New("ingest", "enforce gates (>=2 spill runs under the cap, exact loss and checkpoint equivalence)")
 	epochs := flag.Int("epochs", 2, "training epochs per configuration")
 	flag.Parse()
 
@@ -131,7 +129,7 @@ func main() {
 		BatchSize: 1024, Negatives: 250,
 		Epochs: *epochs, Depth: 2, Workers: 4, Seed: 42,
 	}
-	if *short {
+	if run.Short {
 		cfg.Entities, cfg.Edges, cfg.Relations = 2500, 30000, 12
 		cfg.Negatives = 64
 	}
@@ -144,15 +142,15 @@ func main() {
 		NumEntities: cfg.Entities, NumRelations: cfg.Relations, NumEdges: cfg.Edges,
 		ZipfS: 1.2, ValidFrac: 0.02, TestFrac: 0.02, Seed: cfg.Seed,
 	}
-	rep := Report{Schema: 1, Go: runtime.Version(), GoMaxProcs: runtime.GOMAXPROCS(0), Short: *short, Config: cfg}
+	rep := Report{Header: run.Header(), Config: cfg}
 
 	work, err := os.MkdirTemp("", "benchingest-")
-	must(err)
+	benchkit.Must(err)
 	defer os.RemoveAll(work)
 
 	// Export a fresh graph to raw TSV (before any session relabels it).
 	exp, err := dataset.Export(gen.KG(kg), filepath.Join(work, "raw"), "tsv")
-	must(err)
+	benchkit.Must(err)
 
 	// Ingest under the cap — the same engine mariusprep prep drives.
 	dsDir := filepath.Join(work, "prep")
@@ -160,7 +158,7 @@ func main() {
 	icfg.MemLimit = memCap
 	t0 := time.Now()
 	st, err := dataset.Ingest(icfg)
-	must(err)
+	benchkit.Must(err)
 	rep.Ingest = Ingest{
 		Seconds:          time.Since(t0).Seconds(),
 		EdgesPerSec:      float64(st.NumEdges) / time.Since(t0).Seconds(),
@@ -176,7 +174,7 @@ func main() {
 	rep.Ingest.ValidateSeconds = time.Since(t0).Seconds()
 	rep.Summary.Validated = verr == nil
 	if verr != nil {
-		fmt.Fprintf(os.Stderr, "benchingest: validate: %v\n", verr)
+		log.Printf("validate: %v", verr)
 	}
 
 	common := []marius.Option{
@@ -188,51 +186,44 @@ func main() {
 	// Reference: serial disk COMET training over the equivalent
 	// in-memory-generated graph.
 	refCkpt := filepath.Join(work, "ref.ckpt")
-	must(os.Mkdir(filepath.Join(work, "ref"), 0o755))
+	benchkit.Must(os.Mkdir(filepath.Join(work, "ref"), 0o755))
 	ref, err := marius.New(marius.LinkPrediction(), gen.KG(kg), append(common,
 		marius.WithDisk(filepath.Join(work, "ref"),
 			marius.Partitions(cfg.Partitions), marius.Capacity(cfg.Capacity),
 			marius.LogicalPartitions(cfg.Logical)))...)
-	must(err)
+	benchkit.Must(err)
 	rep.Reference = trainRun(ref, cfg.Epochs)
-	must(ref.Save(refCkpt))
-	must(ref.Close())
+	benchkit.Must(ref.Save(refCkpt))
+	benchkit.Must(ref.Close())
 
 	// Candidate: pipelined COMET training straight from the prepared
 	// directory.
 	dsCkpt := filepath.Join(work, "ds.ckpt")
-	must(os.Mkdir(filepath.Join(work, "scratch"), 0o755))
+	benchkit.Must(os.Mkdir(filepath.Join(work, "scratch"), 0o755))
 	ds, err := marius.FromDataset(dsDir, append(common,
 		marius.WithDisk(filepath.Join(work, "scratch"),
 			marius.Capacity(cfg.Capacity), marius.LogicalPartitions(cfg.Logical)),
 		marius.WithPipeline(cfg.Depth))...)
-	must(err)
+	benchkit.Must(err)
 	rep.Dataset = trainRun(ds, cfg.Epochs)
-	must(ds.Save(dsCkpt))
-	must(ds.Close())
+	benchkit.Must(ds.Save(dsCkpt))
+	benchkit.Must(ds.Close())
 
-	rep.Summary.LossesMatch = len(rep.Reference.Loss) == len(rep.Dataset.Loss)
-	for i := range rep.Reference.Loss {
-		if rep.Reference.Loss[i] != rep.Dataset.Loss[i] {
-			rep.Summary.LossesMatch = false
-		}
-	}
+	rep.Summary.LossesMatch = benchkit.SameBits(rep.Reference.Loss, rep.Dataset.Loss)
 	// Compare training state, not provenance: the dataset session embeds
 	// the manifest UUID in its checkpoint while the in-memory reference
 	// has none, so the byte-identity contract is checked with the UUID
 	// cleared (the same normalization the round-trip tests use).
 	refBytes, err := ckptStateBytes(refCkpt)
-	must(err)
+	benchkit.Must(err)
 	dsBytes, err := ckptStateBytes(dsCkpt)
-	must(err)
+	benchkit.Must(err)
 	rep.Summary.CheckpointsMatch = bytes.Equal(refBytes, dsBytes)
 
-	rep.Quant, err = quantDifferential(*short, cfg.Epochs)
-	must(err)
+	rep.Quant, err = quantDifferential(run.Short, cfg.Epochs)
+	benchkit.Must(err)
 
-	buf, err := json.MarshalIndent(&rep, "", "  ")
-	must(err)
-	must(os.WriteFile(*out, append(buf, '\n'), 0o644))
+	run.Write(&rep)
 	fmt.Printf("ingest: %d edges in %.2fs (%.2fM edges/s), %d spill runs, peak %.2f MB under %.2f MB cap\n",
 		cfg.Edges, rep.Ingest.Seconds, rep.Ingest.EdgesPerSec/1e6,
 		rep.Ingest.SpillRuns, rep.Ingest.PeakWorkingSetMB, cfg.MemCapMB)
@@ -243,36 +234,18 @@ func main() {
 		rep.Quant.Float32FeatureMB, rep.Quant.FP16FeatureMB,
 		rep.Quant.WorkersMatch, rep.Quant.ServeMatch, rep.Quant.RelLossDiff)
 
-	if *check {
-		s := rep.Summary
-		if !s.Spilled {
-			fail("external sort completed in %d run(s); the cap did not force spilling", rep.Ingest.SpillRuns)
-		}
-		if !s.UnderCap {
-			fail("peak working set %.2f MB exceeds the %.2f MB cap", rep.Ingest.PeakWorkingSetMB, cfg.MemCapMB)
-		}
-		if !s.Validated {
-			fail("dataset validation failed: %v", verr)
-		}
-		if !s.LossesMatch {
-			fail("pipelined dataset losses diverge from the in-memory reference")
-		}
-		if !s.CheckpointsMatch {
-			fail("pipelined dataset checkpoint differs from the in-memory reference")
-		}
-		if !rep.Quant.WorkersMatch {
-			fail("fp16 dataset training diverges across worker counts")
-		}
-		if !rep.Quant.ServeMatch {
-			fail("fp16 predictions differ between disk-paged and in-memory feature stores")
-		}
-		// Documented tolerance: fp16 storage rounding may move the final
-		// loss by at most 5% relative to the float32 preparation.
-		if rep.Quant.RelLossDiff > 0.05 {
-			fail("fp16 final loss strays %.2f%% from float32, tolerance 5%%", rep.Quant.RelLossDiff*100)
-		}
-		fmt.Println("check: all ingestion gates passed")
-	}
+	s := rep.Summary
+	run.Gate(s.Spilled, "external sort completed in %d run(s); the cap did not force spilling", rep.Ingest.SpillRuns)
+	run.Gate(s.UnderCap, "peak working set %.2f MB exceeds the %.2f MB cap", rep.Ingest.PeakWorkingSetMB, cfg.MemCapMB)
+	run.Gate(s.Validated, "dataset validation failed: %v", verr)
+	run.Gate(s.LossesMatch, "pipelined dataset losses diverge from the in-memory reference")
+	run.Gate(s.CheckpointsMatch, "pipelined dataset checkpoint differs from the in-memory reference")
+	run.Gate(rep.Quant.WorkersMatch, "fp16 dataset training diverges across worker counts")
+	run.Gate(rep.Quant.ServeMatch, "fp16 predictions differ between disk-paged and in-memory feature stores")
+	// Documented tolerance: fp16 storage rounding may move the final
+	// loss by at most 5% relative to the float32 preparation.
+	run.Gate(rep.Quant.RelLossDiff <= 0.05, "fp16 final loss strays %.2f%% from float32, tolerance 5%%", rep.Quant.RelLossDiff*100)
+	run.Done()
 }
 
 // quantDifferential runs the quantized-ingest differential described on
@@ -352,12 +325,7 @@ func quantDifferential(short bool, epochs int) (Quant, error) {
 		return q, err
 	}
 	q.LossFloat32, q.LossFP16 = lossF32, lossW4
-	q.WorkersMatch = bytes.Equal(ckptW1, ckptW4)
-	for i := range lossW1 {
-		if lossW1[i] != lossW4[i] {
-			q.WorkersMatch = false
-		}
-	}
+	q.WorkersMatch = bytes.Equal(ckptW1, ckptW4) && benchkit.SameBits(lossW1, lossW4)
 	last, ref := lossW4[len(lossW4)-1], lossF32[len(lossF32)-1]
 	if ref != 0 {
 		d := (last - ref) / ref
@@ -426,7 +394,7 @@ func trainRun(sess *marius.Session, epochs int) RunStat {
 	for i := 0; i < epochs; i++ {
 		t0 := time.Now()
 		st, err := sess.TrainEpoch(context.Background())
-		must(err)
+		benchkit.Must(err)
 		rs.EpochSec = append(rs.EpochSec, time.Since(t0).Seconds())
 		rs.Loss = append(rs.Loss, st.Loss)
 		rs.Visits = st.Visits
@@ -440,16 +408,4 @@ func sum(xs []float64) float64 {
 		s += x
 	}
 	return s
-}
-
-func must(err error) {
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchingest: %v\n", err)
-		os.Exit(1)
-	}
-}
-
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "benchingest: CHECK FAILED: "+format+"\n", args...)
-	os.Exit(1)
 }

@@ -1,0 +1,15 @@
+package main
+
+import (
+	"testing"
+
+	"repro/internal/benchkit"
+)
+
+// TestReportSchema pins the checked-in BENCH_ingest.json to Report: it
+// decodes with no unknown keys and re-encodes to the same key set.
+func TestReportSchema(t *testing.T) {
+	if err := benchkit.CheckSchema("../../BENCH_ingest.json", new(Report)); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -3,23 +3,29 @@
 // kernel performance baseline. Every future PR can diff its numbers
 // against the checked-in file.
 //
-//	go run ./cmd/benchkernels                  # full shapes
-//	go run ./cmd/benchkernels -short -check    # CI: small shapes, enforce floors
+//	make bench-kernels                 # CI: -short -check, report to /tmp
+//	go run ./cmd/benchkernels -check   # full shapes: the checked-in baseline
 //
-// -check exits non-zero when the 4-worker blocked matmul fails to reach
-// 2x naive throughput or the arena training step allocates, so kernel
-// regressions fail loudly rather than drifting.
+// -check gates, so kernel regressions fail loudly rather than drifting:
+//
+//   - the 4-worker blocked matmul reaches 2x the naive reference's
+//     throughput, and with two or more CPUs at least 1.15x the 1-worker
+//     blocked kernel (the fan-out must really parallelize);
+//   - fused dequantizing negative scoring beats materialize-then-score
+//     by at least 1.2x, for fp16 and for int8;
+//   - the arena training step allocates nothing per batch.
+//
+// The gated matmul and dequant configurations run best-of-3.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math/rand"
-	"os"
 	"runtime"
 	"testing"
 
+	"repro/internal/benchkit"
 	"repro/internal/tensor"
 )
 
@@ -33,13 +39,10 @@ type Result struct {
 
 // Report is the schema of BENCH_kernels.json.
 type Report struct {
-	Schema     int            `json:"schema"`
-	Go         string         `json:"go"`
-	GoMaxProcs int            `json:"gomaxprocs"`
-	Short      bool           `json:"short"`
-	Shapes     map[string]any `json:"shapes"`
-	Results    []Result       `json:"results"`
-	Summary    map[string]any `json:"summary"`
+	benchkit.Header
+	Shapes  map[string]any `json:"shapes"`
+	Results []Result       `json:"results"`
+	Summary map[string]any `json:"summary"`
 }
 
 func bench(name string, flops float64, fn func(b *testing.B)) Result {
@@ -80,9 +83,7 @@ func benchBest(name string, flops float64, rounds int, fn func(b *testing.B)) Re
 }
 
 func main() {
-	out := flag.String("o", "BENCH_kernels.json", "output JSON path")
-	short := flag.Bool("short", false, "small shapes for CI")
-	check := flag.Bool("check", false, "enforce acceptance floors (>=2x matmul, 0 allocs)")
+	run := benchkit.New("kernels", "enforce acceptance floors (>=2x matmul, 0 allocs)")
 	flag.Parse()
 
 	// Shapes: the matmul triple models a GNN layer (batch x dim @ dim x
@@ -91,7 +92,7 @@ func main() {
 	n, k, m := 512, 128, 256
 	gRows, gDim, gFan, gSegs := 2000, 64, 8, 1500
 	sB, sDim, sNeg, sTable := 256, 64, 500, 4000
-	if *short {
+	if run.Short {
 		n, k, m = 192, 96, 128
 		gRows, gSegs = 800, 600
 		sB, sNeg, sTable = 128, 250, 1500
@@ -236,10 +237,7 @@ func main() {
 	speedupNaive := float64(naive.NsPerOp) / float64(mm4.NsPerOp)
 	speedupSerial := float64(mm1.NsPerOp) / float64(mm4.NsPerOp)
 	rep := Report{
-		Schema:     1,
-		Go:         runtime.Version(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Short:      *short,
+		Header: run.Header(),
 		Shapes: map[string]any{
 			"matmul":            []int{n, k, m},
 			"gather_segment":    map[string]int{"rows": gRows, "dim": gDim, "fanout": gFan, "segments": gSegs},
@@ -248,63 +246,36 @@ func main() {
 		},
 		Results: results,
 		Summary: map[string]any{
-			"matmul_speedup_workers4_vs_naive":  round2(speedupNaive),
-			"matmul_speedup_workers4_vs_serial": round2(speedupSerial),
-			"fused_gather_segment_speedup":      round2(float64(gsUnfused.NsPerOp) / float64(gsFused.NsPerOp)),
-			"fused_negscore_speedup":            round2(float64(negUnfused.NsPerOp) / float64(negFused.NsPerOp)),
-			"negscore_simd_vs_portable":         round2(float64(negPortable.NsPerOp) / float64(negFused.NsPerOp)),
-			"fused_dequant_speedup_fp16":        round2(deqSpeedup["fp16"]),
-			"fused_dequant_speedup_int8":        round2(deqSpeedup["int8"]),
+			"matmul_speedup_workers4_vs_naive":  benchkit.Round(speedupNaive, 2),
+			"matmul_speedup_workers4_vs_serial": benchkit.Round(speedupSerial, 2),
+			"fused_gather_segment_speedup":      benchkit.Round(float64(gsUnfused.NsPerOp)/float64(gsFused.NsPerOp), 2),
+			"fused_negscore_speedup":            benchkit.Round(float64(negUnfused.NsPerOp)/float64(negFused.NsPerOp), 2),
+			"negscore_simd_vs_portable":         benchkit.Round(float64(negPortable.NsPerOp)/float64(negFused.NsPerOp), 2),
+			"fused_dequant_speedup_fp16":        benchkit.Round(deqSpeedup["fp16"], 2),
+			"fused_dequant_speedup_int8":        benchkit.Round(deqSpeedup["int8"], 2),
 			"arena_allocs_per_batch":            arenaStep.AllocsPerOp,
 			"heap_allocs_per_batch":             heapStep.AllocsPerOp,
-			"arena_train_step_speedup":          round2(float64(heapStep.NsPerOp) / float64(arenaStep.NsPerOp)),
+			"arena_train_step_speedup":          benchkit.Round(float64(heapStep.NsPerOp)/float64(arenaStep.NsPerOp), 2),
 		},
 	}
 
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(*out, data, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Printf("\nwrote %s: matmul w4 %.2fx naive, arena %d allocs/batch\n", *out, speedupNaive, arenaStep.AllocsPerOp)
+	run.Write(&rep)
+	fmt.Printf("\nwrote %s: matmul w4 %.2fx naive, arena %d allocs/batch\n", run.Out, speedupNaive, arenaStep.AllocsPerOp)
 
-	if *check {
-		failed := false
-		if speedupNaive < 2 {
-			fmt.Fprintf(os.Stderr, "CHECK FAILED: matmul 4-worker speedup %.2fx < 2x naive\n", speedupNaive)
-			failed = true
-		}
-		// On a single-CPU machine workers4-vs-serial is pure dispatch
-		// overhead (~1.0x), so the naive floor above carries the check; with
-		// real cores available a silently-disabled fan-out (e.g. a serialFor
-		// regression) must not pass, so demand a genuine parallel speedup.
-		if runtime.GOMAXPROCS(0) >= 2 && speedupSerial < 1.15 {
-			fmt.Fprintf(os.Stderr, "CHECK FAILED: matmul 4-worker speedup %.2fx vs serial on %d CPUs — kernel fan-out is not parallelizing\n",
-				speedupSerial, runtime.GOMAXPROCS(0))
-			failed = true
-		}
-		// Conservative floor: dequantizing only the gathered rows must
-		// clearly beat re-materializing the whole float32 table per op.
-		for kind, sp := range deqSpeedup {
-			if sp < 1.2 {
-				fmt.Fprintf(os.Stderr, "CHECK FAILED: fused %s dequant scoring %.2fx vs materialize-then-score, want >= 1.2x\n", kind, sp)
-				failed = true
-			}
-		}
-		if arenaStep.AllocsPerOp != 0 {
-			fmt.Fprintf(os.Stderr, "CHECK FAILED: arena training step allocates %d/op, want 0\n", arenaStep.AllocsPerOp)
-			failed = true
-		}
-		if failed {
-			os.Exit(1)
-		}
-		fmt.Println("checks passed: >=2x matmul throughput, 0 allocs/batch")
+	run.Gate(speedupNaive >= 2, "matmul 4-worker speedup %.2fx < 2x naive", speedupNaive)
+	// On a single-CPU machine workers4-vs-serial is pure dispatch
+	// overhead (~1.0x), so the naive floor above carries the check; with
+	// real cores available a silently-disabled fan-out (e.g. a serialFor
+	// regression) must not pass, so demand a genuine parallel speedup.
+	run.Gate(runtime.GOMAXPROCS(0) < 2 || speedupSerial >= 1.15,
+		"matmul 4-worker speedup %.2fx vs serial on %d CPUs — kernel fan-out is not parallelizing",
+		speedupSerial, runtime.GOMAXPROCS(0))
+	// Conservative floor: dequantizing only the gathered rows must
+	// clearly beat re-materializing the whole float32 table per op.
+	for _, kind := range []string{"fp16", "int8"} {
+		sp := deqSpeedup[kind]
+		run.Gate(sp >= 1.2, "fused %s dequant scoring %.2fx vs materialize-then-score, want >= 1.2x", kind, sp)
 	}
+	run.Gate(arenaStep.AllocsPerOp == 0, "arena training step allocates %d/op, want 0", arenaStep.AllocsPerOp)
+	run.Done()
 }
-
-func round2(x float64) float64 { return float64(int(x*100+0.5)) / 100 }

@@ -3,8 +3,8 @@
 // and emits BENCH_pipeline.json, the repo's pipeline performance
 // baseline.
 //
-//	go run ./cmd/benchpipeline                  # full size
-//	go run ./cmd/benchpipeline -short -check    # CI: small size, enforce floors
+//	make bench-pipeline                 # CI: -short -check, report to /tmp
+//	go run ./cmd/benchpipeline -check   # full size: the checked-in baseline
 //
 // The disk bandwidth is auto-calibrated: an unthrottled run measures the
 // epoch's pure compute time and per-epoch IO volume, then the throttle
@@ -14,30 +14,39 @@
 // policy (the paper's LP default), whose deferred bucket assignment
 // spreads edge IO across visits; every configuration runs one unmeasured
 // warm-up epoch so steady-state epochs are compared (the fragment cache
-// makes first epochs cheaper for everyone but cold for no one). -check
-// exits non-zero when the pipelined run fails to reach 1.5x the serial
-// epoch time, when its losses diverge from the serial trajectory (the
-// equivalence contract), or when the prefetcher never hit.
+// makes first epochs cheaper for everyone but cold for no one).
 //
 // An instrumentation probe repeats the pipelined configuration
 // unthrottled, with and without full observability attached (metrics
-// registry + Chrome-trace span file), in ABBA order: -check fails when
-// the deterministic hot-path overhead bound (per-primitive cost times
-// the epoch's actual operation counts) exceeds 2% of the fastest plain
-// epoch, or when instrumentation perturbs the loss trajectory.
+// registry + Chrome-trace span file), in ABBA order. A quantized section
+// trains serial out-of-core NC from float32- and fp16-prepared copies of
+// one graph under one shared throttle.
+//
+// -check gates:
+//
+//   - the pipelined run is at least 1.5x faster per epoch than the
+//     serial loop, and at least 1.2x faster than depth 0 at the same
+//     worker count (kernel fan-out alone cannot pass);
+//   - its losses equal the serial trajectory bit for bit (the
+//     equivalence contract), and the prefetcher hit at least once;
+//   - the deterministic instrumentation hot-path bound (per-primitive
+//     cost times the epoch's actual operation counts) stays within 2% of
+//     the fastest plain epoch, and instrumentation leaves the losses
+//     untouched;
+//   - fp16 node-partition IO is under 0.7x float32's, and the fp16
+//     serial epoch's IO share is at least 0.03 below float32's.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"time"
 
+	"repro/internal/benchkit"
 	"repro/internal/dataset"
 	"repro/internal/gen"
 	"repro/internal/obs"
@@ -47,10 +56,7 @@ import (
 
 // Report is the schema of BENCH_pipeline.json.
 type Report struct {
-	Schema     int     `json:"schema"`
-	Go         string  `json:"go"`
-	GoMaxProcs int     `json:"gomaxprocs"`
-	Short      bool    `json:"short"`
+	benchkit.Header
 	Config     Config  `json:"config"`
 	Calib      Calib   `json:"calibration"`
 	Serial     RunStat `json:"serial"`
@@ -168,9 +174,7 @@ type Summary struct {
 }
 
 func main() {
-	out := flag.String("o", "BENCH_pipeline.json", "output JSON path")
-	short := flag.Bool("short", false, "small dataset for CI")
-	check := flag.Bool("check", false, "enforce acceptance floors (>=1.5x epoch speedup, loss equivalence)")
+	run := benchkit.New("pipeline", "enforce acceptance floors (>=1.5x epoch speedup, loss equivalence)")
 	depth := flag.Int("depth", 4, "pipeline depth for the pipelined run")
 	workers := flag.Int("workers", 4, "workers for the pipelined run")
 	epochs := flag.Int("epochs", 2, "measured epochs per configuration")
@@ -188,7 +192,7 @@ func main() {
 		BatchSize: 1024, Negatives: 250,
 		Epochs: *epochs, Depth: *depth, Workers: *workers,
 	}
-	if *short {
+	if run.Short {
 		cfg.Entities, cfg.Edges = 2500, 200000
 	}
 
@@ -196,7 +200,7 @@ func main() {
 	// compute cost, its IO counters the per-epoch volume.
 	fmt.Printf("calibrating (unthrottled serial epoch)...\n")
 	calibStat, err := runConfig(cfg, nil, 0, 1, 1, false)
-	must(err)
+	benchkit.Must(err)
 	bytesPerEpoch := int64((calibStat.IOReadMB + calibStat.IOWriteMB) * 1e6)
 	computeSec := calibStat.EpochSec[0]
 	// One epoch's IO takes balance × its compute time: at 1.0 the
@@ -205,26 +209,26 @@ func main() {
 	// serial loop IO-bound enough to measure the overlap.
 	mbps := float64(bytesPerEpoch) / 1e6 / (computeSec * *balance)
 	calib := Calib{
-		UnthrottledEpochSec: round3(computeSec),
+		UnthrottledEpochSec: benchkit.Round(computeSec, 3),
 		BytesPerEpoch:       bytesPerEpoch,
-		ThrottleMBps:        round3(mbps),
+		ThrottleMBps:        benchkit.Round(mbps, 3),
 	}
 	fmt.Printf("  compute %.2fs/epoch, %.1f MB/epoch -> throttle %.1f MB/s\n",
 		computeSec, float64(bytesPerEpoch)/1e6, mbps)
 
 	fmt.Printf("serial (depth=0, workers=1, throttled)...\n")
 	serial, err := runConfig(cfg, storage.NewThrottle(mbps*1e6), 0, 1, cfg.Epochs, false)
-	must(err)
+	benchkit.Must(err)
 	fmt.Printf("  epochs %v  total %.2fs\n", serial.EpochSec, serial.TotalSec)
 
 	fmt.Printf("no-prefetch (depth=0, workers=%d, throttled)...\n", cfg.Workers)
 	noPrefetch, err := runConfig(cfg, storage.NewThrottle(mbps*1e6), 0, cfg.Workers, cfg.Epochs, false)
-	must(err)
+	benchkit.Must(err)
 	fmt.Printf("  epochs %v  total %.2fs\n", noPrefetch.EpochSec, noPrefetch.TotalSec)
 
 	fmt.Printf("pipelined (depth=%d, workers=%d, throttled)...\n", cfg.Depth, cfg.Workers)
 	pipelined, err := runConfig(cfg, storage.NewThrottle(mbps*1e6), cfg.Depth, cfg.Workers, cfg.Epochs, false)
-	must(err)
+	benchkit.Must(err)
 	fmt.Printf("  epochs %v  total %.2fs  load-wait %.2fs  prefetch %d/%d hit\n",
 		pipelined.EpochSec, pipelined.TotalSec, pipelined.LoadWaitSec,
 		pipelined.PrefetchHits, pipelined.PrefetchHits+pipelined.PrefetchMisses)
@@ -237,7 +241,7 @@ func main() {
 	// whichever side runs second.
 	for _, instr := range []bool{false, true, true, false} {
 		st, err := runConfig(cfg, nil, cfg.Depth, cfg.Workers, cfg.Epochs, instr)
-		must(err)
+		benchkit.Must(err)
 		dst := &probePlain
 		if instr {
 			dst = &probeInstr
@@ -247,25 +251,13 @@ func main() {
 		}
 	}
 	instrOverhead := minOf(probeInstr.EpochSec)/minOf(probePlain.EpochSec) - 1
-	instrLossesMatch := len(probeInstr.Loss) == len(probePlain.Loss)
-	for i := range probePlain.Loss {
-		if !instrLossesMatch || probePlain.Loss[i] != probeInstr.Loss[i] {
-			instrLossesMatch = false
-			break
-		}
-	}
+	instrLossesMatch := benchkit.SameBits(probeInstr.Loss, probePlain.Loss)
 	instrHotPath := microOverhead(probeInstr.Batches/cfg.Epochs, probeInstr.Visits/cfg.Epochs,
 		minOf(probePlain.EpochSec))
 	fmt.Printf("  plain %v  instrumented %v  wall-clock %+.1f%%  hot-path bound %.3f%%  losses match = %v\n",
 		probePlain.EpochSec, probeInstr.EpochSec, 100*instrOverhead, 100*instrHotPath, instrLossesMatch)
 
-	lossesMatch := len(serial.Loss) == len(pipelined.Loss)
-	for i := range serial.Loss {
-		if !lossesMatch || serial.Loss[i] != pipelined.Loss[i] {
-			lossesMatch = false
-			break
-		}
-	}
+	lossesMatch := benchkit.SameBits(serial.Loss, pipelined.Loss)
 	speedup := serial.TotalSec / pipelined.TotalSec
 	prefetchSpeedup := noPrefetch.TotalSec / pipelined.TotalSec
 	hitRate := 0.0
@@ -277,14 +269,11 @@ func main() {
 		ioShare = (serial.TotalSec - float64(cfg.Epochs)*computeSec) / serial.TotalSec
 	}
 
-	quant, err := quantSection(*short, *epochs, *balance)
-	must(err)
+	quant, err := quantSection(run.Short, *epochs, *balance)
+	benchkit.Must(err)
 
 	rep := Report{
-		Schema:            1,
-		Go:                runtime.Version(),
-		GoMaxProcs:        runtime.GOMAXPROCS(0),
-		Short:             *short,
+		Header:            run.Header(),
 		Config:            cfg,
 		Calib:             calib,
 		Serial:            serial,
@@ -293,70 +282,36 @@ func main() {
 		ProbePlain:        probePlain,
 		ProbeInstrumented: probeInstr,
 		Summary: Summary{
-			Speedup:          round3(speedup),
-			PrefetchSpeedup:  round3(prefetchSpeedup),
+			Speedup:          benchkit.Round(speedup, 3),
+			PrefetchSpeedup:  benchkit.Round(prefetchSpeedup, 3),
 			LossesMatch:      lossesMatch,
-			PrefetchHit:      round3(hitRate),
-			ComputeSec:       round3(computeSec),
-			SerialIOShare:    round3(ioShare),
-			InstrOverhead:    round3(instrOverhead),
+			PrefetchHit:      benchkit.Round(hitRate, 3),
+			ComputeSec:       benchkit.Round(computeSec, 3),
+			SerialIOShare:    benchkit.Round(ioShare, 3),
+			InstrOverhead:    benchkit.Round(instrOverhead, 3),
 			InstrHotPath:     instrHotPath,
 			InstrLossesMatch: instrLossesMatch,
 		},
 		Quant: quant,
 	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	must(err)
-	data = append(data, '\n')
-	must(os.WriteFile(*out, data, 0o644))
+	run.Write(&rep)
 	fmt.Printf("\nwrote %s: %.2fx epoch speedup (%.2fx vs no-prefetch), losses match = %v\n",
-		*out, speedup, prefetchSpeedup, lossesMatch)
+		run.Out, speedup, prefetchSpeedup, lossesMatch)
 
-	if *check {
-		failed := false
-		if speedup < 1.5 {
-			fmt.Fprintf(os.Stderr, "CHECK FAILED: pipelined epoch speedup %.2fx < 1.5x serial\n", speedup)
-			failed = true
-		}
-		if prefetchSpeedup < 1.2 {
-			fmt.Fprintf(os.Stderr, "CHECK FAILED: pipelined epoch speedup %.2fx < 1.2x over depth-0 at the same worker count — the prefetcher is not overlapping IO\n", prefetchSpeedup)
-			failed = true
-		}
-		if !lossesMatch {
-			fmt.Fprintf(os.Stderr, "CHECK FAILED: pipelined losses %v diverge from serial %v — equivalence contract broken\n",
-				pipelined.Loss, serial.Loss)
-			failed = true
-		}
-		if pipelined.PrefetchHits == 0 {
-			fmt.Fprintln(os.Stderr, "CHECK FAILED: prefetcher never hit")
-			failed = true
-		}
-		if instrHotPath > 0.02 {
-			fmt.Fprintf(os.Stderr, "CHECK FAILED: instrumentation hot-path overhead %.2f%% exceeds the 2%% ceiling\n", 100*instrHotPath)
-			failed = true
-		}
-		if !instrLossesMatch {
-			fmt.Fprintf(os.Stderr, "CHECK FAILED: instrumented losses %v diverge from plain pipelined %v — observability perturbed training\n",
-				probeInstr.Loss, probePlain.Loss)
-			failed = true
-		}
-		// fp16 halves the feature bytes; with edge traffic on top the
-		// node-partition volume must land well under float32's, and the
-		// epoch's unhidden-IO share must drop measurably with it.
-		if quant.NodeIORatio >= 0.7 {
-			fmt.Fprintf(os.Stderr, "CHECK FAILED: fp16 node-partition IO is %.2fx float32's, want < 0.7x\n", quant.NodeIORatio)
-			failed = true
-		}
-		if quant.FP16.IOShare > quant.Float32.IOShare-0.03 {
-			fmt.Fprintf(os.Stderr, "CHECK FAILED: fp16 serial IO share %.2f not measurably below float32's %.2f\n",
-				quant.FP16.IOShare, quant.Float32.IOShare)
-			failed = true
-		}
-		if failed {
-			os.Exit(1)
-		}
-		fmt.Println("checks passed: >=1.5x epoch speedup, identical loss trajectory")
-	}
+	run.Gate(speedup >= 1.5, "pipelined epoch speedup %.2fx < 1.5x serial", speedup)
+	run.Gate(prefetchSpeedup >= 1.2, "pipelined epoch speedup %.2fx < 1.2x over depth-0 at the same worker count — the prefetcher is not overlapping IO", prefetchSpeedup)
+	run.Gate(lossesMatch, "pipelined losses %v diverge from serial %v — equivalence contract broken", pipelined.Loss, serial.Loss)
+	run.Gate(pipelined.PrefetchHits > 0, "prefetcher never hit")
+	run.Gate(instrHotPath <= 0.02, "instrumentation hot-path overhead %.2f%% exceeds the 2%% ceiling", 100*instrHotPath)
+	run.Gate(instrLossesMatch, "instrumented losses %v diverge from plain pipelined %v — observability perturbed training",
+		probeInstr.Loss, probePlain.Loss)
+	// fp16 halves the feature bytes; with edge traffic on top the
+	// node-partition volume must land well under float32's, and the
+	// epoch's unhidden-IO share must drop measurably with it.
+	run.Gate(quant.NodeIORatio < 0.7, "fp16 node-partition IO is %.2fx float32's, want < 0.7x", quant.NodeIORatio)
+	run.Gate(quant.FP16.IOShare <= quant.Float32.IOShare-0.03, "fp16 serial IO share %.2f not measurably below float32's %.2f",
+		quant.FP16.IOShare, quant.Float32.IOShare)
+	run.Done()
 }
 
 // quantSection prepares the same SBM graph twice — float32 and fp16 —
@@ -410,7 +365,7 @@ func quantSection(short bool, epochs int, balance float64) (QuantSection, error)
 		return qs, err
 	}
 	mbps := calibF32.TotalIOMB / (calibF32.EpochSec[0] * balance)
-	qs.ThrottleMBps = round3(mbps)
+	qs.ThrottleMBps = benchkit.Round(mbps, 3)
 	fmt.Printf("  float32 compute %.2fs/epoch, %.1f MB/epoch -> throttle %.1f MB/s\n",
 		calibF32.EpochSec[0], calibF32.TotalIOMB, mbps)
 
@@ -433,7 +388,7 @@ func quantSection(short bool, epochs int, balance float64) (QuantSection, error)
 		}
 		run.ComputeSec = v.calib.EpochSec[0]
 		if ioSec := run.TotalIOMB / mbps; ioSec > 0 {
-			run.IOShare = round3(ioSec / (ioSec + run.ComputeSec))
+			run.IOShare = benchkit.Round(ioSec/(ioSec+run.ComputeSec), 3)
 		}
 		// The throttle only delays reads; the trajectory must not move.
 		for i := range v.calib.Loss {
@@ -447,7 +402,7 @@ func quantSection(short bool, epochs int, balance float64) (QuantSection, error)
 			run.EpochSec, run.NodeIOMB, run.IOShare)
 	}
 	if qs.Float32.NodeIOMB > 0 {
-		qs.NodeIORatio = round3(qs.FP16.NodeIOMB / qs.Float32.NodeIOMB)
+		qs.NodeIORatio = benchkit.Round(qs.FP16.NodeIOMB/qs.Float32.NodeIOMB, 3)
 	}
 	return qs, nil
 }
@@ -489,16 +444,16 @@ func runNC(dataDir string, capacity int, th *storage.Throttle, epochs int) (Quan
 	if err != nil {
 		return st, err
 	}
-	st.TotalSec = round3(time.Since(start).Seconds())
+	st.TotalSec = benchkit.Round(time.Since(start).Seconds(), 3)
 	for _, e := range res.Epochs {
-		st.EpochSec = append(st.EpochSec, round3(e.Duration.Seconds()))
+		st.EpochSec = append(st.EpochSec, benchkit.Round(e.Duration.Seconds(), 3))
 		st.Loss = append(st.Loss, e.Loss)
 	}
 	nodeIO := src.Disk.Stats().Snapshot().Sub(nodeStart)
 	edgeIO := src.Edges.Stats().Snapshot().Sub(edgeStart)
 	nodeB := nodeIO.BytesRead + nodeIO.BytesWritten
-	st.NodeIOMB = round3(float64(nodeB) / 1e6 / float64(epochs))
-	st.TotalIOMB = round3(float64(nodeB+edgeIO.BytesRead+edgeIO.BytesWritten) / 1e6 / float64(epochs))
+	st.NodeIOMB = benchkit.Round(float64(nodeB)/1e6/float64(epochs), 3)
+	st.TotalIOMB = benchkit.Round(float64(nodeB+edgeIO.BytesRead+edgeIO.BytesWritten)/1e6/float64(epochs), 3)
 	return st, nil
 }
 
@@ -560,12 +515,12 @@ func runConfig(cfg Config, th *storage.Throttle, depth, workers, epochs int, ins
 	if err != nil {
 		return st, err
 	}
-	st.TotalSec = round3(time.Since(start).Seconds())
+	st.TotalSec = benchkit.Round(time.Since(start).Seconds(), 3)
 	edgeIO := sess.Task().Source().Edges.Stats().Snapshot().Sub(edgeStart)
 
 	var readB, writeB int64
 	for _, e := range res.Epochs {
-		st.EpochSec = append(st.EpochSec, round3(e.Duration.Seconds()))
+		st.EpochSec = append(st.EpochSec, benchkit.Round(e.Duration.Seconds(), 3))
 		st.Loss = append(st.Loss, e.Loss)
 		st.Visits += e.Visits
 		st.Batches += e.Batches
@@ -577,21 +532,12 @@ func runConfig(cfg Config, th *storage.Throttle, depth, workers, epochs int, ins
 		st.BatchWaitSec += e.Pipeline.BatchWait.Seconds()
 	}
 	readB += edgeIO.BytesRead
-	st.IOReadMB = round3(float64(readB) / 1e6 / float64(epochs))
-	st.IOWriteMB = round3(float64(writeB) / 1e6 / float64(epochs))
-	st.LoadWaitSec = round3(st.LoadWaitSec)
-	st.BatchWaitSec = round3(st.BatchWaitSec)
+	st.IOReadMB = benchkit.Round(float64(readB)/1e6/float64(epochs), 3)
+	st.IOWriteMB = benchkit.Round(float64(writeB)/1e6/float64(epochs), 3)
+	st.LoadWaitSec = benchkit.Round(st.LoadWaitSec, 3)
+	st.BatchWaitSec = benchkit.Round(st.BatchWaitSec, 3)
 	return st, nil
 }
-
-func must(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-}
-
-func round3(x float64) float64 { return float64(int(x*1000+0.5)) / 1000 }
 
 // microOverhead bounds the per-epoch instrumentation cost
 // deterministically: each hot-path primitive (histogram observe, counter

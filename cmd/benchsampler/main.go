@@ -3,8 +3,8 @@
 // sampling hot path's allocation behavior, emitting BENCH_sampler.json,
 // the repo's sampling performance baseline.
 //
-//	go run ./cmd/benchsampler                  # full size
-//	go run ./cmd/benchsampler -short -check    # CI: small size, enforce floors
+//	make bench-sampler                 # CI: -short -check, report to /tmp
+//	go run ./cmd/benchsampler -check   # full size: the checked-in baseline
 //
 // The visit-setup benchmark walks identical BETA epoch plans twice: the
 // from-scratch path re-reads all c² resident edge buckets and rebuilds
@@ -17,15 +17,14 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"log"
 	"math/rand"
-	"os"
-	"runtime"
 	"testing"
 	"time"
 
+	"repro/internal/benchkit"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/policy"
@@ -36,14 +35,11 @@ import (
 
 // Report is the schema of BENCH_sampler.json.
 type Report struct {
-	Schema     int     `json:"schema"`
-	Go         string  `json:"go"`
-	GoMaxProcs int     `json:"gomaxprocs"`
-	Short      bool    `json:"short"`
-	Config     Config  `json:"config"`
-	Setup      Setup   `json:"visit_setup"`
-	Sampling   Samp    `json:"sampling"`
-	Summary    Summary `json:"summary"`
+	benchkit.Header
+	Config   Config  `json:"config"`
+	Setup    Setup   `json:"visit_setup"`
+	Sampling Samp    `json:"sampling"`
+	Summary  Summary `json:"summary"`
 }
 
 // Config records the benchmark workload.
@@ -84,9 +80,7 @@ type Summary struct {
 }
 
 func main() {
-	out := flag.String("o", "BENCH_sampler.json", "output JSON path")
-	short := flag.Bool("short", false, "small dataset for CI")
-	check := flag.Bool("check", false, "enforce acceptance floors (>=2x visit-setup speedup, 0 allocs/batch)")
+	run := benchkit.New("sampler", "enforce acceptance floors (>=2x visit-setup speedup, 0 allocs/batch)")
 	epochs := flag.Int("epochs", 4, "measured epochs (identical plans for both paths)")
 	flag.Parse()
 
@@ -96,7 +90,7 @@ func main() {
 		Fanouts: []int{10, 10}, BatchSize: 1024,
 		Epochs: *epochs,
 	}
-	if *short {
+	if run.Short {
 		cfg.Entities, cfg.Edges = 10000, 200000
 	}
 
@@ -130,7 +124,7 @@ func main() {
 			for _, i := range v.Mem {
 				for _, j := range v.Mem {
 					buf, err = store.ReadBucket(i, j, buf)
-					must(err)
+					benchkit.Must(err)
 				}
 			}
 			adjSink = graph.BuildAdjacency(g.NumNodes, buf)
@@ -149,7 +143,7 @@ func main() {
 	for _, v := range plans()[0].Visits {
 		var err error
 		seg, err = seg.Swap(v.Mem)
-		must(err)
+		benchkit.Must(err)
 	}
 	h0, m0 := fc.Stats()
 	t1 := time.Now()
@@ -157,7 +151,7 @@ func main() {
 		for _, v := range plan.Visits {
 			var err error
 			seg, err = seg.Swap(v.Mem)
-			must(err)
+			benchkit.Must(err)
 		}
 	}
 	incrTotal := time.Since(t1)
@@ -166,9 +160,7 @@ func main() {
 	fmt.Printf("incremental:  %d visits in %.1f ms (%.0f us/visit), frag cache %d hit / %d miss\n",
 		visits, ms(incrTotal), us(incrTotal)/float64(visits), hits, misses)
 	if adjSink.NumEdges() != seg.NumEdges() {
-		fmt.Fprintf(os.Stderr, "index mismatch: from-scratch %d edges, incremental %d\n",
-			adjSink.NumEdges(), seg.NumEdges())
-		os.Exit(1)
+		log.Fatalf("index mismatch: from-scratch %d edges, incremental %d", adjSink.NumEdges(), seg.NumEdges())
 	}
 
 	// Sampling hot path: identical targets over both index backings, with
@@ -187,53 +179,34 @@ func main() {
 		allocs = sampSeg.allocs
 	}
 	rep := Report{
-		Schema:     1,
-		Go:         runtime.Version(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Short:      *short,
-		Config:     cfg,
+		Header: run.Header(),
+		Config: cfg,
 		Setup: Setup{
 			Visits:          visits,
-			ScratchMSTotal:  round3(ms(scratchTotal)),
-			ScratchUSVisit:  round3(us(scratchTotal) / float64(visits)),
-			IncrMSTotal:     round3(ms(incrTotal)),
-			IncrUSVisit:     round3(us(incrTotal) / float64(visits)),
+			ScratchMSTotal:  benchkit.Round(ms(scratchTotal), 3),
+			ScratchUSVisit:  benchkit.Round(us(scratchTotal)/float64(visits), 3),
+			IncrMSTotal:     benchkit.Round(ms(incrTotal), 3),
+			IncrUSVisit:     benchkit.Round(us(incrTotal)/float64(visits), 3),
 			FragCacheHits:   hits,
 			FragCacheMisses: misses,
 		},
 		Sampling: Samp{
-			FlatUSBatch:      round3(sampFlat.us),
-			SegmentedUSBatch: round3(sampSeg.us),
+			FlatUSBatch:      benchkit.Round(sampFlat.us, 3),
+			SegmentedUSBatch: benchkit.Round(sampSeg.us, 3),
 			AllocsFlat:       sampFlat.allocs,
 			AllocsSegmented:  sampSeg.allocs,
 		},
 		Summary: Summary{
-			SetupSpeedup:   round3(speedup),
+			SetupSpeedup:   benchkit.Round(speedup, 3),
 			AllocsPerBatch: allocs,
 		},
 	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	must(err)
-	data = append(data, '\n')
-	must(os.WriteFile(*out, data, 0o644))
-	fmt.Printf("\nwrote %s: %.1fx visit-setup speedup, %.1f allocs/batch\n", *out, speedup, allocs)
+	run.Write(&rep)
+	fmt.Printf("\nwrote %s: %.1fx visit-setup speedup, %.1f allocs/batch\n", run.Out, speedup, allocs)
 
-	if *check {
-		failed := false
-		if speedup < 2 {
-			fmt.Fprintf(os.Stderr, "CHECK FAILED: incremental visit setup %.2fx < 2x from-scratch at capacity %d\n",
-				speedup, cfg.Capacity)
-			failed = true
-		}
-		if allocs != 0 {
-			fmt.Fprintf(os.Stderr, "CHECK FAILED: steady-state sampling allocates %.1f/batch, want 0\n", allocs)
-			failed = true
-		}
-		if failed {
-			os.Exit(1)
-		}
-		fmt.Println("checks passed: >=2x visit-setup speedup, 0 allocs/batch")
-	}
+	run.Gate(speedup >= 2, "incremental visit setup %.2fx < 2x from-scratch at capacity %d", speedup, cfg.Capacity)
+	run.Gate(allocs == 0, "steady-state sampling allocates %.1f/batch, want 0", allocs)
+	run.Done()
 }
 
 // residentTargets picks batch-many unique node IDs from seg's resident
@@ -285,12 +258,3 @@ func benchSample(idx graph.Index, fanouts []int, targets []int32) sampleStat {
 
 func ms(d time.Duration) float64 { return float64(d) / 1e6 }
 func us(d time.Duration) float64 { return float64(d) / 1e3 }
-
-func must(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-}
-
-func round3(x float64) float64 { return float64(int(x*1000+0.5)) / 1000 }

@@ -7,8 +7,8 @@
 // throughput gain under concurrency is visible next to its single-stream
 // latency cost.
 //
-//	go run ./cmd/benchserve                   # full size
-//	go run ./cmd/benchserve -short -check     # CI: small size, enforce gates
+//	make bench-serve                 # CI: -short -check, report to /tmp
+//	go run ./cmd/benchserve -check   # full size: the checked-in baseline
 //
 // -check enforces the serving contract: served NC logits must be
 // byte-identical to the training-side evaluation forward for the same
@@ -28,17 +28,18 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"log"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"regexp"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"repro/internal/benchkit"
 	"repro/internal/ckpt"
 	"repro/internal/dataset"
 	"repro/internal/decoder"
@@ -54,14 +55,11 @@ import (
 
 // Report is the schema of BENCH_serve.json.
 type Report struct {
-	Schema     int      `json:"schema"`
-	Go         string   `json:"go"`
-	GoMaxProcs int      `json:"gomaxprocs"`
-	Short      bool     `json:"short"`
-	Config     Config   `json:"config"`
-	NCPredict  []Loadpt `json:"nc_predict"`
-	LPTopK     []Loadpt `json:"lp_topk"`
-	Summary    Summary  `json:"summary"`
+	benchkit.Header
+	Config    Config   `json:"config"`
+	NCPredict []Loadpt `json:"nc_predict"`
+	LPTopK    []Loadpt `json:"lp_topk"`
+	Summary   Summary  `json:"summary"`
 }
 
 // Config records the benchmark workload.
@@ -117,27 +115,25 @@ const (
 )
 
 func main() {
-	out := flag.String("o", "BENCH_serve.json", "output JSON path")
-	short := flag.Bool("short", false, "small graphs for CI")
-	check := flag.Bool("check", false, "enforce gates (differential equality, concurrency stability, QPS floors)")
+	run := benchkit.New("serve", "enforce gates (differential equality, concurrency stability, QPS floors)")
 	flag.Parse()
 
 	cfg := Config{
 		NCNodes: 5000, LPEntities: 3000, LPEdges: 30000, Dim: 16,
 		MaxBatch: 32, MaxWaitUS: 2000, Workers: 4, Requests: 3000, Seed: 7,
 	}
-	if *short {
+	if run.Short {
 		cfg.NCNodes, cfg.LPEntities, cfg.LPEdges = 1000, 800, 8000
 		cfg.Requests = 800
 	}
-	rep := Report{Schema: 1, Go: runtime.Version(), GoMaxProcs: runtime.GOMAXPROCS(0), Short: *short, Config: cfg}
+	rep := Report{Header: run.Header(), Config: cfg}
 	rep.Summary.ConcurrencyStable = true
 
 	work, err := os.MkdirTemp("", "benchserve-")
-	must(err)
+	benchkit.Must(err)
 	defer os.RemoveAll(work)
 
-	scfg := serve.Config{
+	scfg := marius.ServeConfig{
 		MaxBatch: cfg.MaxBatch, MaxWait: time.Duration(cfg.MaxWaitUS) * time.Microsecond,
 		Workers: cfg.Workers, Seed: cfg.Seed,
 	}
@@ -145,7 +141,8 @@ func main() {
 	// --- Node classification ---
 	ncDir := prepNC(work, cfg)
 	ncCkpt := trainNC(work, ncDir, cfg)
-	ncSrv := openServer(ncDir, ncCkpt, scfg)
+	ncSrv, err := marius.LoadForInference(ncDir, ncCkpt, scfg)
+	benchkit.Must(err)
 	ncReqs := make([]*serve.PredictRequest, 256)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	for i := range ncReqs {
@@ -158,7 +155,7 @@ func main() {
 	ncExpected := make([]*serve.PredictResponse, len(ncReqs))
 	for i, r := range ncReqs {
 		ncExpected[i], err = ncSrv.Predict(context.Background(), r)
-		must(err)
+		benchkit.Must(err)
 	}
 	// Differential gate: served logits vs the training-side evaluation
 	// forward (internal/encode, the code path of train/eval.go), bitwise,
@@ -190,10 +187,11 @@ func main() {
 	// each, so machine drift and one-off stalls don't read as overhead.
 	tracePath := filepath.Join(work, "serve.trace")
 	tr, err := obs.CreateTrace(tracePath)
-	must(err)
+	benchkit.Must(err)
 	tcfg := scfg
 	tcfg.Tracer = tr
-	tracedSrv := openServer(ncDir, ncCkpt, tcfg)
+	tracedSrv, err := marius.LoadForInference(ncDir, ncCkpt, tcfg)
+	benchkit.Must(err)
 	drivePlain := func() Loadpt {
 		return drive(16, cfg.Requests, func(i int) error {
 			_, err := ncSrv.Predict(context.Background(), ncReqs[i%len(ncReqs)])
@@ -217,7 +215,7 @@ func main() {
 		}
 	}
 	tracedSrv.Close()
-	must(tr.Close())
+	benchkit.Must(tr.Close())
 	rep.Summary.TraceQPSRatio = tracedQPS / plainQPS
 	// The trace must load as Chrome Trace Event JSON and actually carry
 	// serving-stage spans; otherwise the probe measured nothing.
@@ -226,8 +224,8 @@ func main() {
 		Name string `json:"name"`
 	}
 	traceBuf, err := os.ReadFile(tracePath)
-	must(err)
-	must(json.Unmarshal(traceBuf, &spans))
+	benchkit.Must(err)
+	benchkit.Must(json.Unmarshal(traceBuf, &spans))
 	sampleSpans := 0
 	for _, sp := range spans {
 		if sp.Cat == "serve" && sp.Name == "sample" {
@@ -235,7 +233,7 @@ func main() {
 		}
 	}
 	if sampleSpans == 0 {
-		fmt.Fprintln(os.Stderr, "benchserve: traced server produced no serve/sample spans")
+		log.Print("traced server produced no serve/sample spans")
 		rep.Summary.TraceQPSRatio = 0
 	}
 	ncSrv.Close()
@@ -243,7 +241,8 @@ func main() {
 	// --- Link prediction ---
 	lpDir := prepLP(work, cfg)
 	lpCkpt := trainLP(work, lpDir, cfg)
-	lpSrv := openServer(lpDir, lpCkpt, scfg)
+	lpSrv, err := marius.LoadForInference(lpDir, lpCkpt, scfg)
+	benchkit.Must(err)
 	snap := lpSrv.Snapshot()
 	rep.Summary.LPDecoder = lpSrv.Statz().Decoder
 	lpReqs := make([]*serve.TopKRequest, 256)
@@ -260,7 +259,7 @@ func main() {
 	lpExpected := make([]*serve.TopKResponse, len(lpReqs))
 	for i, r := range lpReqs {
 		got, err := lpSrv.TopK(context.Background(), r)
-		must(err)
+		benchkit.Must(err)
 		lpExpected[i] = got
 		scores := decoder.ScoreAll(snap.Decoder, snap.Table.Row(int(r.Src)), snap.RelTable.Row(int(*r.Relation)), snap.Table)
 		ids := decoder.TopK(scores, r.K)
@@ -289,9 +288,7 @@ func main() {
 	}
 	lpSrv.Close()
 
-	buf, err := json.MarshalIndent(&rep, "", "  ")
-	must(err)
-	must(os.WriteFile(*out, append(buf, '\n'), 0o644))
+	run.Write(&rep)
 	for i, conc := range concurrencies {
 		fmt.Printf("nc predict  c=%-3d %8.0f qps  p50 %6.2fms  p99 %6.2fms\n",
 			conc, rep.NCPredict[i].QPS, rep.NCPredict[i].P50MS, rep.NCPredict[i].P99MS)
@@ -301,34 +298,16 @@ func main() {
 			conc, rep.LPTopK[i].QPS, rep.LPTopK[i].P50MS, rep.LPTopK[i].P99MS)
 	}
 
-	if *check {
-		s := rep.Summary
-		if !s.NCMatchesEval {
-			fail("served logits diverge from the evaluation forward pass")
-		}
-		if !s.LPMatchesScoreAll {
-			fail("served top-k diverges from the full-ranking ScoreAll kernel")
-		}
-		if !s.ConcurrencyStable {
-			fail("concurrent responses diverge from single-request responses")
-		}
-		if s.NCPeakQPS < ncFloorQPS {
-			fail("nc predict peak %.0f qps under the %d floor", s.NCPeakQPS, ncFloorQPS)
-		}
-		if s.LPPeakQPS < lpFloorQPS {
-			fail("lp topk peak %.0f qps under the %d floor", s.LPPeakQPS, lpFloorQPS)
-		}
-		if !s.MetricsLint {
-			fail("metrics exposition failed the Prometheus text lint")
-		}
-		if s.TraceQPSRatio < 0.98 {
-			fail("traced server sustained %.3fx the plain QPS, under the 0.98 floor", s.TraceQPSRatio)
-		}
-		if s.LPDecoder != decoder.KindDistMult {
-			fail("lp /statz reports decoder %q, checkpoint trained %q", s.LPDecoder, decoder.KindDistMult)
-		}
-		fmt.Println("check: all serving gates passed")
-	}
+	st := rep.Summary
+	run.Gate(st.NCMatchesEval, "served logits diverge from the evaluation forward pass")
+	run.Gate(st.LPMatchesScoreAll, "served top-k diverges from the full-ranking ScoreAll kernel")
+	run.Gate(st.ConcurrencyStable, "concurrent responses diverge from single-request responses")
+	run.Gate(st.NCPeakQPS >= ncFloorQPS, "nc predict peak %.0f qps under the %d floor", st.NCPeakQPS, ncFloorQPS)
+	run.Gate(st.LPPeakQPS >= lpFloorQPS, "lp topk peak %.0f qps under the %d floor", st.LPPeakQPS, lpFloorQPS)
+	run.Gate(st.MetricsLint, "metrics exposition failed the Prometheus text lint")
+	run.Gate(st.TraceQPSRatio >= 0.98, "traced server sustained %.3fx the plain QPS, under the 0.98 floor", st.TraceQPSRatio)
+	run.Gate(st.LPDecoder == decoder.KindDistMult, "lp /statz reports decoder %q, checkpoint trained %q", st.LPDecoder, decoder.KindDistMult)
+	run.Done()
 }
 
 // drive runs total requests over conc closed-loop workers and summarizes
@@ -359,7 +338,7 @@ func drive(conc, total int, do func(i int) error) Loadpt {
 					return
 				}
 				t0 := time.Now()
-				must(do(i))
+				benchkit.Must(do(i))
 				lat[i] = float64(time.Since(t0)) / float64(time.Millisecond)
 			}
 		}()
@@ -381,10 +360,10 @@ func prepNC(work string, cfg Config) string {
 		Homophily: 0.8, FeatNoise: 1, TrainFrac: 0.2, ValidFrac: 0.1, TestFrac: 0.1, Seed: cfg.Seed,
 	})
 	exp, err := dataset.Export(g, filepath.Join(work, "nc-raw"), "tsv")
-	must(err)
+	benchkit.Must(err)
 	dir := filepath.Join(work, "nc")
 	_, err = dataset.Ingest(exp.Config(dir, "nc", cfg.Seed, 2))
-	must(err)
+	benchkit.Must(err)
 	return dir
 }
 
@@ -394,10 +373,10 @@ func prepLP(work string, cfg Config) string {
 		ZipfS: 1.2, ValidFrac: 0.02, TestFrac: 0.02, Seed: cfg.Seed,
 	})
 	exp, err := dataset.Export(g, filepath.Join(work, "lp-raw"), "tsv")
-	must(err)
+	benchkit.Must(err)
 	dir := filepath.Join(work, "lp")
 	_, err = dataset.Ingest(exp.Config(dir, "lp", cfg.Seed, 2))
-	must(err)
+	benchkit.Must(err)
 	return dir
 }
 
@@ -405,12 +384,12 @@ func trainNC(work, dir string, cfg Config) string {
 	sess, err := marius.FromDataset(dir,
 		marius.WithModel(marius.GraphSage), marius.WithFanouts(10, 10),
 		marius.WithDim(cfg.Dim), marius.WithBatchSize(512), marius.WithWorkers(1))
-	must(err)
+	benchkit.Must(err)
 	_, err = sess.TrainEpoch(context.Background())
-	must(err)
+	benchkit.Must(err)
 	path := filepath.Join(work, "nc.ckpt")
-	must(sess.Save(path))
-	must(sess.Close())
+	benchkit.Must(sess.Save(path))
+	benchkit.Must(sess.Close())
 	return path
 }
 
@@ -418,12 +397,12 @@ func trainLP(work, dir string, cfg Config) string {
 	sess, err := marius.FromDataset(dir,
 		marius.WithModel(marius.DistMultOnly), marius.WithDim(cfg.Dim),
 		marius.WithBatchSize(1024), marius.WithNegatives(64), marius.WithWorkers(1))
-	must(err)
+	benchkit.Must(err)
 	_, err = sess.TrainEpoch(context.Background())
-	must(err)
+	benchkit.Must(err)
 	path := filepath.Join(work, "lp.ckpt")
-	must(sess.Save(path))
-	must(sess.Close())
+	benchkit.Must(sess.Save(path))
+	benchkit.Must(sess.Close())
 	return path
 }
 
@@ -433,7 +412,7 @@ func trainLP(work, dir string, cfg Config) string {
 // with the served responses.
 func ncMatchesEval(dir, ckptPath string, reqs []*serve.PredictRequest, served []*serve.PredictResponse) bool {
 	cp, err := ckpt.Read(nil, ckptPath)
-	must(err)
+	benchkit.Must(err)
 	ps := nn.NewParamSet()
 	rng := rand.New(rand.NewSource(cp.Seed))
 	dims := []int{cp.Model.FeatureDim}
@@ -442,9 +421,9 @@ func ncMatchesEval(dir, ckptPath string, reqs []*serve.PredictRequest, served []
 	}
 	dims = append(dims, cp.Model.NumClasses)
 	enc := gnn.BuildSage(ps, dims, gnn.Mean, rng)
-	must(ps.LoadState(cp.Params))
+	benchkit.Must(ps.LoadState(cp.Params))
 	sctx, err := serve.Open(dir, serve.Config{InMemory: true})
-	must(err)
+	benchkit.Must(err)
 	defer sctx.Close()
 	for qi, req := range reqs {
 		fwd := encode.New(encode.Config{
@@ -459,7 +438,7 @@ func ncMatchesEval(dir, ckptPath string, reqs []*serve.PredictRequest, served []
 			}
 		}
 		out, err := fwd.Encode(sctx.Features, uniq)
-		must(err)
+		benchkit.Must(err)
 		for i, id := range req.Nodes {
 			want := out.Value.Row(rows[id])
 			got := served[qi].Logits[i]
@@ -488,12 +467,12 @@ func lintPrometheus(reg *obs.Registry) bool {
 		}
 		m := series.FindString(line)
 		if m == "" {
-			fmt.Fprintf(os.Stderr, "benchserve: metrics lint: malformed series line %q\n", line)
+			log.Printf("metrics lint: malformed series line %q", line)
 			ok = false
 			continue
 		}
 		if _, err := strconv.ParseFloat(strings.TrimSpace(line[len(m):]), 64); err != nil {
-			fmt.Fprintf(os.Stderr, "benchserve: metrics lint: unparseable value in %q\n", line)
+			log.Printf("metrics lint: unparseable value in %q", line)
 			ok = false
 		}
 	}
@@ -503,19 +482,11 @@ func lintPrometheus(reg *obs.Registry) bool {
 		"storage_bytes_read_total",
 	} {
 		if !strings.Contains(out, fam) {
-			fmt.Fprintf(os.Stderr, "benchserve: metrics lint: missing family %s\n", fam)
+			log.Printf("metrics lint: missing family %s", fam)
 			ok = false
 		}
 	}
 	return ok
-}
-
-func openServer(dir, ckpt string, cfg serve.Config) *serve.Server {
-	sctx, err := serve.Open(dir, cfg)
-	must(err)
-	snap, err := serve.Load(sctx, ckpt, cfg)
-	must(err)
-	return serve.New(sctx, snap, cfg)
 }
 
 func eqPredict(a, b *serve.PredictResponse) bool {
@@ -545,16 +516,4 @@ func eqTopK(a, b *serve.TopKResponse) bool {
 		}
 	}
 	return true
-}
-
-func must(err error) {
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchserve: %v\n", err)
-		os.Exit(1)
-	}
-}
-
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "benchserve: CHECK FAILED: "+format+"\n", args...)
-	os.Exit(1)
 }

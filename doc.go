@@ -41,9 +41,9 @@
 // every kernel in the forward/backward pass may fan out to n goroutines.
 // Kernel parallelism only ever partitions output rows, columns or
 // segments — no floating-point reduction is ever split — so kernel
-// results are bitwise identical at every worker count. cmd/benchkernels measures the kernels
-// against retained naive references and writes BENCH_kernels.json (the
-// checked-in baseline); `make bench-kernels` re-runs it with hard floors.
+// results are bitwise identical at every worker count. cmd/benchkernels
+// measures the kernels against retained naive references (`make
+// bench-kernels`; see Benchmarks below).
 //
 // On amd64 CPUs with AVX the dense float32 products — the three matmul
 // forms, the fused gather+matmul of negative scoring, its backward to the
@@ -101,9 +101,8 @@
 // trainers' label gather, endpoint/negative dedup (stamp-based, not
 // map-based) and prepared-batch structs — performs zero allocations once
 // warm (enforced by testing.AllocsPerRun tests). cmd/benchsampler
-// measures the incremental refresh against the from-scratch rebuild and
-// writes BENCH_sampler.json (the checked-in baseline; >=2x per-visit
-// refresh and 0 allocs/batch enforced by `make bench-sampler`).
+// measures the incremental refresh against the from-scratch rebuild
+// (`make bench-sampler`).
 //
 // # The pipeline
 //
@@ -124,9 +123,8 @@
 // batches through the arena/tape trainer. EpochStats.Pipeline reports the
 // depth, prefetched visits, and stall times; EpochStats.IO counts
 // partition prefetch hits and misses. cmd/benchpipeline measures the
-// executor against the serial loop under a calibrated disk throttle and
-// writes BENCH_pipeline.json (the checked-in baseline, >=1.5x epoch
-// speedup enforced by `make bench-pipeline`).
+// executor against the serial loop under a calibrated disk throttle
+// (`make bench-pipeline`).
 //
 // # Datasets on disk
 //
@@ -179,9 +177,7 @@
 // trains byte-identically — same per-epoch losses, same checkpoints —
 // to training the original in-memory graph at the same seed, serial and
 // pipelined (enforced by the internal/dataset round-trip tests and by
-// cmd/benchingest, whose `make bench-ingest` gate also requires the
-// external sort to spill >= 2 runs while staying under its memory cap;
-// BENCH_ingest.json is the checked-in baseline).
+// cmd/benchingest, `make bench-ingest`).
 //
 // # Quantized storage
 //
@@ -250,9 +246,8 @@
 // sampling seed (explicit, or derived from request content), a
 // micro-batched response is byte-identical to the same request served
 // alone — and to the training-side evaluation forward at the same seed
-// (enforced by differential tests and by cmd/benchserve, whose `make
-// bench-serve` gate also enforces QPS floors; BENCH_serve.json is the
-// checked-in baseline). Checkpoints hot-reload without a restart
+// (enforced by differential tests and by cmd/benchserve, `make
+// bench-serve`). Checkpoints hot-reload without a restart
 // (SIGHUP or POST /reload): the new snapshot is atomically swapped in
 // while in-flight batches finish on the old one, and every batch pins
 // exactly one snapshot so responses never mix epochs. Checkpoints also
@@ -297,8 +292,7 @@
 // kernel and aggregates per-query ranks in a canonical order, so results
 // are bitwise independent of worker count, batch size and chunk width,
 // and match a brute-force per-candidate reference exactly (enforced by
-// tests and by cmd/bencheval, whose `make bench-eval` gate also enforces
-// throughput floors; BENCH_eval.json is the checked-in baseline).
+// tests and by cmd/bencheval, `make bench-eval`).
 // cmd/mariusgnn prints MRR and Hits@1/10 per eval epoch with -ranking
 // (-filtered for the filtered protocol, -decoder to pick the scorer).
 //
@@ -335,8 +329,18 @@
 // contract: it reads clocks and bumps atomics but never touches RNG
 // streams, batch order, or parameter state, so trajectories and
 // checkpoints are byte-identical with it on or off (enforced by a
-// differential test) and its hot-path cost is gated under 2% by `make
+// differential test) and its hot-path cost is gated by `make
 // bench-pipeline` and `make bench-serve`.
+//
+// # Benchmarks
+//
+// Each gate command cmd/bench<name> (kernels, pipeline, sampler, ingest,
+// serve, fault, eval) measures one subsystem and writes BENCH_<name>.json;
+// the checked-in files are the full-size baselines (`make
+// bench-baseline`). `make bench-<name>` runs the command's short workload
+// with -check, and the command's package doc lists what its gates
+// enforce. The commands share one scaffold, internal/benchkit. `make
+// check` runs everything CI runs.
 //
 // The benchmarks in bench_test.go regenerate every table and figure of
 // the paper's evaluation section; `go run ./cmd/benchtables` prints them

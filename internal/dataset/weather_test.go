@@ -21,8 +21,12 @@ import (
 // path (default memory cap) and the multi-run external sort (a cap that
 // forces spills) are covered, for a link-prediction and a
 // node-classification input.
-// weatherSeeds is the number of injector seeds each weather runs under.
-const weatherSeeds = 4
+// Each weather runs under at least weatherSeeds injector seeds, and
+// under further seeds, up to maxWeatherSeeds, until a fault has fired.
+const (
+	weatherSeeds    = 4
+	maxWeatherSeeds = 32
+)
 
 func TestIngestUnderIOWeather(t *testing.T) {
 	kg := exportKG(t, "", 4)
@@ -56,10 +60,12 @@ func TestIngestUnderIOWeather(t *testing.T) {
 			}
 			for _, w := range weathers {
 				// A default-cap ingest issues only a handful of large
-				// writes, so one seed may draw no fault at these rates;
-				// several seeds make every configuration see both kinds.
+				// writes (about five), so a few seeds may draw no fault
+				// at these rates; more seeds run until one has fired, so
+				// every configuration sees its fault kind.
 				var fired int64
-				for seed := int64(1); seed <= weatherSeeds; seed++ {
+				seed := int64(1)
+				for ; seed <= weatherSeeds || fired == 0 && seed <= maxWeatherSeeds; seed++ {
 					cfg := w.cfg
 					cfg.Seed = seed
 					inj := fault.NewInjector(nil, cfg)
@@ -77,7 +83,7 @@ func TestIngestUnderIOWeather(t *testing.T) {
 					fired += tr + sh
 				}
 				if fired == 0 {
-					t.Fatalf("%s/%s (mem %d): no fault fired in %d seeds; the test proves nothing", task, w.name, memLimit, weatherSeeds)
+					t.Fatalf("%s/%s (mem %d): no fault fired in %d seeds; the test proves nothing", task, w.name, memLimit, seed-1)
 				}
 			}
 		}

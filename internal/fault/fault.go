@@ -3,10 +3,12 @@
 // through a small FS interface; production code passes OS (a zero-cost
 // passthrough to the os package) while tests and the chaos harness pass
 // an Injector that returns transient errors, short reads and writes,
-// torn writes, ENOSPC, latency spikes, or a hard "crash after N writes"
-// — every decision a pure function of the configured seed and a global
-// operation counter, so a failing schedule replays exactly from its
-// seed.
+// torn writes, ENOSPC, latency spikes, or a hard "crash after N writes".
+// Every weather decision (transient, short, ENOSPC, latency) is a pure
+// function of the seed, the file's identity, the op kind, the offset and
+// the attempt at that (file, offset), so a failing schedule replays
+// exactly from its seed, in whatever order concurrent goroutines make
+// the same ops.
 //
 // The crash model matches kill -9 semantics: the Nth write lands a
 // seeded prefix of its buffer (a torn write) and every subsequent
@@ -24,9 +26,12 @@ package fault
 
 import (
 	"errors"
+	"hash/fnv"
 	"io"
 	"math/rand"
 	"os"
+	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -136,11 +141,11 @@ func IsTransient(err error) bool {
 }
 
 // Config tunes an Injector. All probabilities are in [0, 1] and are
-// evaluated deterministically from Seed and the injector's operation
-// counter; the zero value injects nothing.
+// evaluated deterministically per operation (see Injector); the zero
+// value injects nothing.
 type Config struct {
 	// Seed derives every injection decision. Two injectors with the
-	// same Config over the same operation sequence inject identically.
+	// same Config over the same operations inject identically.
 	Seed int64
 	// Transient is the probability a read or write returns (0, error
 	// wrapping ErrTransient) — the op made no progress and a retry
@@ -161,18 +166,28 @@ type Config struct {
 	// CrashAfterWrites, when > 0, makes the Nth write (counted across
 	// all files) a torn write — a seeded prefix lands, the op returns
 	// ErrCrashed — after which every operation fails with ErrCrashed.
+	// Unlike the weather above, the count is global: which write is the
+	// Nth depends on the order concurrent writers reach the injector.
 	CrashAfterWrites int64
 }
 
 // Injector is an FS that wraps another FS with seeded fault injection.
-// It is safe for concurrent use; decisions are serialized through an
-// atomic operation counter so a given (seed, op-index) pair always
-// resolves the same way.
+// It is safe for concurrent use. Each read or write is decided from the
+// seed and the op's key: the file's identity (its base name, or the
+// pattern for CreateTemp, so schedules replay across fresh temp
+// directories and random temp names), the op kind, the offset (the
+// stream position for Read and Write), and the attempt — how many ops of
+// that kind preceded it at that (file, offset), which for a retried
+// transfer is its retry attempt. Concurrent goroutines therefore see the
+// same per-op outcomes in any interleaving. The attempt table grows with
+// the distinct (file, offset) pairs touched.
 type Injector struct {
 	inner FS
 	cfg   Config
 
-	ops     atomic.Int64 // decision counter: one per read/write op
+	mu       sync.Mutex
+	attempts map[opKey]uint64
+
 	writes  atomic.Int64 // write ops, for crash-point accounting
 	crashed atomic.Bool
 
@@ -183,7 +198,7 @@ type Injector struct {
 
 // NewInjector wraps inner (nil means OS) with the faults in cfg.
 func NewInjector(inner FS, cfg Config) *Injector {
-	return &Injector{inner: Or(inner), cfg: cfg}
+	return &Injector{inner: Or(inner), cfg: cfg, attempts: map[opKey]uint64{}}
 }
 
 // Writes returns the number of write operations observed so far. An
@@ -208,21 +223,52 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// roll draws the deterministic uniform in [0, 1) for the next op.
-func (in *Injector) roll() (op int64, u float64) {
-	op = in.ops.Add(1)
-	w := splitmix64(uint64(in.cfg.Seed) ^ uint64(op)*0xD1B54A32D192ED03)
-	return op, float64(w>>11) / (1 << 53)
+// opKind separates reads from writes at the same (file, offset).
+type opKind uint64
+
+const (
+	opRead opKind = iota + 1
+	opWrite
+)
+
+// opKey names one (file, kind, offset) location; its attempt count lives
+// in Injector.attempts.
+type opKey struct {
+	file uint64
+	kind opKind
+	off  int64
+}
+
+// fileID is a file's identity for fault decisions: a hash of its base
+// name (of the pattern, for CreateTemp).
+func fileID(name string) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(filepath.Base(name)))
+	return h.Sum64()
+}
+
+// roll draws the op's deterministic decision word w and the uniform u in
+// [0, 1) derived from it.
+func (in *Injector) roll(file uint64, kind opKind, off int64) (w uint64, u float64) {
+	k := opKey{file: file, kind: kind, off: off}
+	in.mu.Lock()
+	attempt := in.attempts[k]
+	in.attempts[k] = attempt + 1
+	in.mu.Unlock()
+	w = uint64(in.cfg.Seed)
+	for _, x := range []uint64{file, uint64(kind), uint64(off), attempt} {
+		w = splitmix64(w ^ x)
+	}
+	return w, float64(w>>11) / (1 << 53)
 }
 
 // prefixLen picks the seeded torn/short transfer length in [1, n-1]
 // (or n when n < 2, where a partial transfer is impossible).
-func (in *Injector) prefixLen(op int64, n int) int {
+func prefixLen(w uint64, n int) int {
 	if n < 2 {
 		return n
 	}
-	w := splitmix64(uint64(in.cfg.Seed)*0x9E3779B97F4A7C15 ^ uint64(op))
-	return 1 + int(w%uint64(n-1))
+	return 1 + int(splitmix64(w)%uint64(n-1))
 }
 
 func (in *Injector) maybeStall(u float64) {
@@ -231,13 +277,14 @@ func (in *Injector) maybeStall(u float64) {
 	}
 }
 
-// readFault decides the fate of one read of n bytes: inject=false means
-// pass through; otherwise transfer `take` bytes and return err.
-func (in *Injector) readFault(n int) (take int, err error, inject bool) {
+// readFault decides the fate of one read of n bytes of file at off:
+// inject=false means pass through; otherwise transfer `take` bytes and
+// return err.
+func (in *Injector) readFault(file uint64, off int64, n int) (take int, err error, inject bool) {
 	if in.crashed.Load() {
 		return 0, ErrCrashed, true
 	}
-	op, u := in.roll()
+	w, u := in.roll(file, opRead, off)
 	in.maybeStall(u)
 	switch {
 	case u < in.cfg.Transient:
@@ -245,24 +292,24 @@ func (in *Injector) readFault(n int) (take int, err error, inject bool) {
 		return 0, ErrTransient, true
 	case u < in.cfg.Transient+in.cfg.Short && n >= 2:
 		in.shorts.Add(1)
-		return in.prefixLen(op, n), nil, true
+		return prefixLen(w, n), nil, true
 	}
 	return 0, nil, false
 }
 
-// writeFault decides the fate of one write of n bytes. take is the
-// number of bytes to actually write to the inner file (torn writes land
-// a prefix before failing).
-func (in *Injector) writeFault(n int) (take int, err error, inject bool) {
+// writeFault decides the fate of one write of n bytes to file at off.
+// take is the number of bytes to actually write to the inner file (torn
+// writes land a prefix before failing).
+func (in *Injector) writeFault(file uint64, off int64, n int) (take int, err error, inject bool) {
 	if in.crashed.Load() {
 		return 0, ErrCrashed, true
 	}
-	w := in.writes.Add(1)
-	op, u := in.roll()
+	nth := in.writes.Add(1)
+	w, u := in.roll(file, opWrite, off)
 	in.maybeStall(u)
-	if in.cfg.CrashAfterWrites > 0 && w >= in.cfg.CrashAfterWrites {
+	if in.cfg.CrashAfterWrites > 0 && nth >= in.cfg.CrashAfterWrites {
 		in.crashed.Store(true)
-		return in.prefixLen(op, n), ErrCrashed, true // torn: prefix lands, then dead
+		return prefixLen(w, n), ErrCrashed, true // torn: prefix lands, then dead
 	}
 	switch {
 	case u < in.cfg.Transient:
@@ -270,13 +317,13 @@ func (in *Injector) writeFault(n int) (take int, err error, inject bool) {
 		// Torn transient write: a prefix may land before the error, as
 		// with a real interrupted write; the retry loop must re-issue
 		// the tail, not the whole buffer.
-		return in.prefixLen(op, n) / 2, ErrTransient, true
+		return prefixLen(w, n) / 2, ErrTransient, true
 	case u < in.cfg.Transient+in.cfg.ENOSPC:
 		in.enospcs.Add(1)
 		return 0, syscall.ENOSPC, true
 	case u < in.cfg.Transient+in.cfg.ENOSPC+in.cfg.Short && n >= 2:
 		in.shorts.Add(1)
-		return in.prefixLen(op, n), nil, true
+		return prefixLen(w, n), nil, true
 	}
 	return 0, nil, false
 }
@@ -298,7 +345,7 @@ func (in *Injector) Create(name string) (File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &faultFile{f: f, in: in}, nil
+	return in.wrap(f, name), nil
 }
 
 func (in *Injector) Open(name string) (File, error) {
@@ -309,7 +356,7 @@ func (in *Injector) Open(name string) (File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &faultFile{f: f, in: in}, nil
+	return in.wrap(f, name), nil
 }
 
 func (in *Injector) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
@@ -320,7 +367,7 @@ func (in *Injector) OpenFile(name string, flag int, perm os.FileMode) (File, err
 	if err != nil {
 		return nil, err
 	}
-	return &faultFile{f: f, in: in}, nil
+	return in.wrap(f, name), nil
 }
 
 func (in *Injector) CreateTemp(dir, pattern string) (File, error) {
@@ -331,7 +378,7 @@ func (in *Injector) CreateTemp(dir, pattern string) (File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &faultFile{f: f, in: in}, nil
+	return in.wrap(f, pattern), nil
 }
 
 func (in *Injector) Rename(oldpath, newpath string) error {
@@ -355,15 +402,29 @@ func (in *Injector) Stat(name string) (os.FileInfo, error) {
 	return in.inner.Stat(name)
 }
 
+// wrap routes f's data ops through the injector under the identity of
+// name.
+func (in *Injector) wrap(f File, name string) *faultFile {
+	return &faultFile{f: f, in: in, id: fileID(name)}
+}
+
 // faultFile routes every data op through the injector's decision
 // machinery before (possibly) touching the wrapped file.
 type faultFile struct {
-	f  File
-	in *Injector
+	f   File
+	in  *Injector
+	id  uint64       // fileID of the name the file was opened under
+	pos atomic.Int64 // bytes moved by Read and Write: their decision offset
 }
 
 func (ff *faultFile) Read(p []byte) (int, error) {
-	if take, err, inject := ff.in.readFault(len(p)); inject {
+	n, err := ff.read(p)
+	ff.pos.Add(int64(n))
+	return n, err
+}
+
+func (ff *faultFile) read(p []byte) (int, error) {
+	if take, err, inject := ff.in.readFault(ff.id, ff.pos.Load(), len(p)); inject {
 		if take > 0 {
 			n, rerr := ff.f.Read(p[:take])
 			if rerr != nil {
@@ -377,7 +438,7 @@ func (ff *faultFile) Read(p []byte) (int, error) {
 }
 
 func (ff *faultFile) ReadAt(p []byte, off int64) (int, error) {
-	if take, err, inject := ff.in.readFault(len(p)); inject {
+	if take, err, inject := ff.in.readFault(ff.id, off, len(p)); inject {
 		if take > 0 {
 			n, rerr := ff.f.ReadAt(p[:take], off)
 			if rerr != nil {
@@ -391,7 +452,13 @@ func (ff *faultFile) ReadAt(p []byte, off int64) (int, error) {
 }
 
 func (ff *faultFile) Write(p []byte) (int, error) {
-	if take, err, inject := ff.in.writeFault(len(p)); inject {
+	n, err := ff.write(p)
+	ff.pos.Add(int64(n))
+	return n, err
+}
+
+func (ff *faultFile) write(p []byte) (int, error) {
+	if take, err, inject := ff.in.writeFault(ff.id, ff.pos.Load(), len(p)); inject {
 		if take > 0 {
 			n, werr := ff.f.Write(p[:take])
 			if werr != nil {
@@ -405,7 +472,7 @@ func (ff *faultFile) Write(p []byte) (int, error) {
 }
 
 func (ff *faultFile) WriteAt(p []byte, off int64) (int, error) {
-	if take, err, inject := ff.in.writeFault(len(p)); inject {
+	if take, err, inject := ff.in.writeFault(ff.id, off, len(p)); inject {
 		if take > 0 {
 			n, werr := ff.f.WriteAt(p[:take], off)
 			if werr != nil {

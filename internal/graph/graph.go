@@ -300,30 +300,3 @@ func floydSample[P neighborPool](dst []int32, pool P, n, fanout int, rng *rand.R
 	}
 	return dst
 }
-
-// DegreeStats summarizes a degree distribution.
-type DegreeStats struct {
-	Min, Max int
-	Mean     float64
-}
-
-// OutDegreeStats computes out-degree statistics over all nodes.
-func (a *Adjacency) OutDegreeStats() DegreeStats {
-	s := DegreeStats{Min: int(^uint(0) >> 1)}
-	for v := 0; v < a.numNodes; v++ {
-		d := a.OutDegree(int32(v))
-		if d < s.Min {
-			s.Min = d
-		}
-		if d > s.Max {
-			s.Max = d
-		}
-		s.Mean += float64(d)
-	}
-	if a.numNodes > 0 {
-		s.Mean /= float64(a.numNodes)
-	} else {
-		s.Min = 0
-	}
-	return s
-}

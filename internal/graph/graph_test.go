@@ -132,11 +132,3 @@ func TestGraphValidate(t *testing.T) {
 		t.Fatal("out-of-range train node accepted")
 	}
 }
-
-func TestOutDegreeStats(t *testing.T) {
-	a := BuildAdjacency(3, []Edge{{Src: 0, Dst: 1}, {Src: 0, Dst: 2}, {Src: 1, Dst: 0}})
-	s := a.OutDegreeStats()
-	if s.Min != 0 || s.Max != 2 || s.Mean != 1 {
-		t.Fatalf("stats = %+v", s)
-	}
-}

@@ -18,7 +18,7 @@ type Param struct {
 	Name  string
 	Value *tensor.Tensor
 
-	// Adam / AdaGrad state, allocated lazily by the optimizer.
+	// Adam state, allocated lazily by the optimizer.
 	m, v *tensor.Tensor
 	step int
 }
@@ -174,29 +174,6 @@ func (o *Adam) Step(p *Param, g *tensor.Tensor) {
 		mHat := p.m.Data[i] / b1c
 		vHat := p.v.Data[i] / b2c
 		p.Value.Data[i] -= o.LR * mHat / (float32(math.Sqrt(float64(vHat))) + o.Eps)
-	}
-}
-
-// AdaGrad is the dense AdaGrad optimizer.
-type AdaGrad struct {
-	LR  float32
-	Eps float32
-}
-
-// NewAdaGrad returns AdaGrad with eps 1e-10, the Marius default.
-func NewAdaGrad(lr float32) *AdaGrad { return &AdaGrad{LR: lr, Eps: 1e-10} }
-
-// Step implements Optimizer.
-func (o *AdaGrad) Step(p *Param, g *tensor.Tensor) {
-	if g == nil {
-		return
-	}
-	if p.v == nil {
-		p.v = tensor.New(p.Value.Rows, p.Value.Cols)
-	}
-	for i, gv := range g.Data {
-		p.v.Data[i] += gv * gv
-		p.Value.Data[i] -= o.LR * gv / (float32(math.Sqrt(float64(p.v.Data[i]))) + o.Eps)
 	}
 }
 

@@ -56,9 +56,6 @@ func TestOptimizersConverge(t *testing.T) {
 	if n := optimizeQuadratic(t, NewAdam(0.05), 300); n > 1e-2 {
 		t.Fatalf("Adam norm %g", n)
 	}
-	if n := optimizeQuadratic(t, NewAdaGrad(0.5), 300); n > 1e-1 {
-		t.Fatalf("AdaGrad norm %g", n)
-	}
 }
 
 func TestSparseAdaGradShrinksSteps(t *testing.T) {

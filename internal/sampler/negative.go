@@ -14,15 +14,8 @@ import "math/rand"
 type NegativeSampler struct {
 	rng *rand.Rand
 
-	// candidates, when non-nil, restricts sampling to this ID pool;
-	// otherwise IDs are drawn from [0, numNodes).
+	// candidates is the ID pool negatives are drawn from.
 	candidates []int32
-	numNodes   int32
-}
-
-// NewNegativeGlobal samples negatives uniformly from [0, numNodes).
-func NewNegativeGlobal(numNodes int, seed int64) *NegativeSampler {
-	return &NegativeSampler{rng: rand.New(rand.NewSource(seed)), numNodes: int32(numNodes)}
 }
 
 // NewNegativePool samples negatives uniformly from the given candidate
@@ -41,11 +34,7 @@ func (ns *NegativeSampler) Reseed(seed int64) { ns.rng.Seed(seed) }
 // Sample appends n negative node IDs to dst and returns the extended slice.
 func (ns *NegativeSampler) Sample(dst []int32, n int) []int32 {
 	for i := 0; i < n; i++ {
-		if ns.candidates != nil {
-			dst = append(dst, ns.candidates[ns.rng.Intn(len(ns.candidates))])
-		} else {
-			dst = append(dst, ns.rng.Int31n(ns.numNodes))
-		}
+		dst = append(dst, ns.candidates[ns.rng.Intn(len(ns.candidates))])
 	}
 	return dst
 }

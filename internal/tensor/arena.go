@@ -30,8 +30,6 @@ type Arena struct {
 	hdrs   [][]Tensor
 	hchunk int
 	hoff   int
-
-	resets int64
 }
 
 const (
@@ -61,21 +59,7 @@ func (a *Arena) Alloc(rows, cols int) *Tensor {
 func (a *Arena) Reset() {
 	a.slab, a.off = 0, 0
 	a.hchunk, a.hoff = 0, 0
-	a.resets++
 }
-
-// Footprint returns the total bytes held by the arena's slabs.
-func (a *Arena) Footprint() int {
-	n := 0
-	for _, s := range a.slabs {
-		n += len(s) * 4
-	}
-	return n
-}
-
-// Resets returns the number of completed Reset cycles (one per batch in
-// steady-state training), for tests and diagnostics.
-func (a *Arena) Resets() int64 { return a.resets }
 
 // take carves n zeroed floats out of the slab list, growing it if needed.
 func (a *Arena) take(n int) []float32 {

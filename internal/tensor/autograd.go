@@ -21,9 +21,6 @@ type Node struct {
 // or nil if no gradient flowed to it.
 func (n *Node) Grad() *Tensor { return n.grad }
 
-// RequiresGrad reports whether gradients are tracked for this node.
-func (n *Node) RequiresGrad() bool { return n.requiresGrad }
-
 // Tape records operations for reverse-mode differentiation. A Tape is not
 // safe for concurrent use; each training worker owns its own tape.
 //

@@ -84,7 +84,6 @@ func (t *Tensor) Set(i, j int, v float32) { t.Data[i*t.Cols+j] = v }
 func (t *Tensor) Row(i int) []float32 { return t.Data[i*t.Cols : (i+1)*t.Cols] }
 
 // Shape returns (rows, cols).
-func (t *Tensor) Shape() (int, int) { return t.Rows, t.Cols }
 
 // SameShape reports whether t and o have identical dimensions.
 func (t *Tensor) SameShape(o *Tensor) bool { return t.Rows == o.Rows && t.Cols == o.Cols }

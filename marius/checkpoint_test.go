@@ -246,10 +246,12 @@ func TestRestoreUnderIOWeather(t *testing.T) {
 		{"transient", fault.Config{Transient: 0.25}},
 		{"short", fault.Config{Short: 0.25}},
 	} {
-		// One whole-file read is a single injector decision, so several
-		// seeds make sure the weather actually hits the restore.
+		// One whole-file read is a single injector decision, so at least
+		// four seeds run, and more (up to 32) until the weather has
+		// actually hit the restore.
 		var fired int64
-		for seed := int64(1); seed <= 4; seed++ {
+		seed := int64(1)
+		for ; seed <= 4 || fired == 0 && seed <= 32; seed++ {
 			cfg := w.cfg
 			cfg.Seed = seed
 			inj := fault.NewInjector(nil, cfg)
@@ -265,7 +267,7 @@ func TestRestoreUnderIOWeather(t *testing.T) {
 			sess.Close()
 		}
 		if fired == 0 {
-			t.Fatalf("%s: no fault hit the restore in 4 seeds; the test proves nothing", w.name)
+			t.Fatalf("%s: no fault hit the restore in %d seeds; the test proves nothing", w.name, seed-1)
 		}
 	}
 }
